@@ -2,13 +2,16 @@
 
 Unlike the figure benches (which report *simulated* seconds), this harness
 times the restoration machinery itself with ``time.perf_counter``: binary
-artifact save, eager vs lazy load, and the object-path vs vectorized
-restore over a paper-scale artifact (~16k graph nodes, ~65k replay
-events for Qwen1.5-4B).  It writes ``BENCH_restore.json`` with the p50
-wall-clock numbers plus the simulated critical-path seconds per strategy,
-and (with ``--assert-speedup``/``--quick``) exits non-zero unless the
-vectorized restore beats the object path by the required factor — the CI
-perf-smoke gate.
+artifact save, eager vs lazy load, the object-path vs vectorized restore
+over a paper-scale artifact (~16k graph nodes, ~65k replay events for
+Qwen1.5-4B), and the artifact's allocation replay done one allocator call
+per event vs in one ``DeviceAllocator.replay`` loop.  It writes
+``BENCH_restore.json`` with the p50 wall-clock numbers plus the simulated
+critical-path seconds per strategy.  With ``--quick`` (the CI perf-smoke
+gate) it exits non-zero unless the vectorized restore beats the object
+path by ``--assert-speedup`` and the batch replay beats the per-event one
+by ``QUICK_MIN_REPLAY_SPEEDUP``; both are same-machine ratios, so the gate
+does not depend on the runner's speed.
 
 Run it directly::
 
@@ -29,8 +32,14 @@ from repro.core.binfmt import LazyArtifact, load_binary, save_binary
 from repro.core.offline import run_offline
 from repro.core.online import prepare_medusa_cold_start
 from repro.engine import LLMEngine, Strategy
+from repro.simgpu.costmodel import CostModel
+from repro.simgpu.memory import DeviceAllocator, replay_per_event, replay_rows
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: ``--quick`` fails unless the batch replay is this many times faster
+#: than the per-event one.
+QUICK_MIN_REPLAY_SPEEDUP = 3.0
 
 
 def _p50(fn: Callable[[], object], repeats: int) -> float:
@@ -56,6 +65,37 @@ def _restore_p50(model: str, open_artifact: Callable[[], object],
             model, open_artifact(), seed=9600, fast=fast)
         engine.cold_start(restorer=restorer)
     return _p50(run, repeats)
+
+
+def _replay_p50s(npz_path: pathlib.Path, repeats: int) -> Dict[str, float]:
+    """p50 wall-clock of the artifact's whole allocation replay, per event
+    vs batched, each from a fresh allocator holding the structure prefix.
+
+    The per-event replay loops over plain-int rows converted once, outside
+    the timed region, as the restorer did before the batch loop existed.
+    """
+    artifact = LazyArtifact(npz_path)
+    table = artifact.replay_table()
+    rows = replay_rows(table)
+    capacity = CostModel().gpu.total_memory_bytes
+
+    def timed(replay: Callable[[DeviceAllocator], object]) -> float:
+        samples: List[float] = []
+        for _ in range(repeats):
+            allocator = DeviceAllocator(base=0x7F00_0000_0000,
+                                        capacity_bytes=capacity)
+            for size, tag in artifact.structure_prefix:
+                allocator.malloc(size, tag=tag)
+            start = time.perf_counter()
+            replay(allocator)
+            samples.append(time.perf_counter() - start)
+        return statistics.median(samples)
+
+    return {
+        "replay_sequential": timed(
+            lambda allocator: replay_per_event(allocator, rows)),
+        "replay_batch": timed(lambda allocator: allocator.replay(table)),
+    }
 
 
 def _chunk_store_p50s(artifact, workdir: pathlib.Path,
@@ -127,6 +167,7 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
         model, lambda: load_binary(npz_path), fast=False, repeats=repeats)
     fast_restore_p50 = _restore_p50(
         model, lambda: LazyArtifact(npz_path), fast=True, repeats=repeats)
+    replay_p50s = _replay_p50s(npz_path, repeats)
 
     print("timing chunk-store gets (serial vs parallel)...", flush=True)
     chunk_p50s = _chunk_store_p50s(artifact, workdir, repeats)
@@ -153,10 +194,15 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             # Content-addressed chunk store: full get (manifest +
             # decompress + reassemble), one thread vs a 4-worker pool.
             **chunk_p50s,
+            # The whole allocation replay: one allocator call per event
+            # vs the DeviceAllocator.replay loop.
+            **replay_p50s,
         },
         "speedup": {
             "load_restore": object_restore_p50 / max(fast_restore_p50, 1e-9),
             "load": eager_load_p50 / max(lazy_open_p50, 1e-9),
+            "replay": replay_p50s["replay_sequential"]
+            / max(replay_p50s["replay_batch"], 1e-9),
         },
         "simulated_critical_path_s": simulated,
     }
@@ -180,7 +226,9 @@ def main(argv=None) -> int:
                              "(default: a temp directory)")
     parser.add_argument("--quick", action="store_true",
                         help="CI perf-smoke mode: smaller model, fewer "
-                             "repeats, and --assert-speedup 2.0")
+                             "repeats, --assert-speedup 2.0, and a "
+                             f"{QUICK_MIN_REPLAY_SPEEDUP:g}x batch-replay "
+                             "gate")
     parser.add_argument("--assert-speedup", type=float, default=None,
                         help="exit 1 unless fast-path load+restore beats "
                              "the object path by this factor")
@@ -207,9 +255,18 @@ def main(argv=None) -> int:
           f"{wall['load_restore_object_path'] * 1e3:.1f} ms, fast path "
           f"{wall['load_restore_fast_path'] * 1e3:.1f} ms "
           f"({speedup:.1f}x)")
+    replay_speedup = report["speedup"]["replay"]
+    print(f"allocation replay p50: per event "
+          f"{wall['replay_sequential'] * 1e3:.1f} ms, batch "
+          f"{wall['replay_batch'] * 1e3:.1f} ms ({replay_speedup:.1f}x)")
     if min_speedup is not None and speedup < min_speedup:
         print(f"FAIL: fast path is only {speedup:.2f}x the object path "
               f"(required {min_speedup:g}x)", file=sys.stderr)
+        return 1
+    if args.quick and replay_speedup < QUICK_MIN_REPLAY_SPEEDUP:
+        print(f"FAIL: batch replay is only {replay_speedup:.2f}x the "
+              f"per-event replay (required {QUICK_MIN_REPLAY_SPEEDUP:g}x)",
+              file=sys.stderr)
         return 1
     return 0
 

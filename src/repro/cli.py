@@ -18,6 +18,10 @@ commands open them lazily (:class:`repro.core.binfmt.LazyArtifact`),
 which puts ``coldstart --strategy medusa``/``restore``/``validate`` on
 the pipelined vectorized fast path.
 
+Malformed arguments (an unknown strategy, a non-positive ``--rps``,
+``--duration`` or ``--gpus``, a negative ``--slo-ttft``) are usage
+errors: argparse prints the usage and a one-line error and exits 2.
+
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
 exit-code convention:
 0 = clean/passed, 1 = diagnostics found or outputs diverged, 2 = the
@@ -30,6 +34,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -67,6 +72,31 @@ def _strategy(name: str) -> Strategy:
             f"unknown strategy {name!r}; choose from "
             f"{', '.join(_STRATEGY_NAMES)}")
     return strategy
+
+
+def _number(text: str, kind, check, requirement: str):
+    """Parse ``text`` as a finite ``kind`` satisfying ``check``, or raise
+    the usage error argparse reports on one line."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = None
+    if value is None or not math.isfinite(value) or not check(value):
+        raise argparse.ArgumentTypeError(
+            f"expected {requirement}, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _number(text, float, lambda v: v > 0, "a positive number")
+
+
+def _non_negative_float(text: str) -> float:
+    return _number(text, float, lambda v: v >= 0, "a non-negative number")
+
+
+def _positive_int(text: str) -> int:
+    return _number(text, int, lambda v: v > 0, "a positive integer")
 
 
 def _load_artifact(path: str):
@@ -152,9 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="serverless trace simulation")
     simulate.add_argument("--model", required=True)
     simulate.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
-    simulate.add_argument("--rps", type=float, default=2.0)
-    simulate.add_argument("--duration", type=float, default=300.0)
-    simulate.add_argument("--gpus", type=int, default=4)
+    simulate.add_argument("--rps", type=_positive_float, default=2.0)
+    simulate.add_argument("--duration", type=_positive_float, default=300.0)
+    simulate.add_argument("--gpus", type=_positive_int, default=4)
     simulate.add_argument("--seed", type=int, default=42)
     simulate.add_argument(
         "--placement", choices=policy_names(), default="locality",
@@ -177,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
              "are composable RateSchedule shapes at the same nominal "
              "--rps")
     simulate.add_argument(
-        "--slo-ttft", type=float, default=0.0, metavar="SECONDS",
+        "--slo-ttft", type=_non_negative_float, default=0.0,
+        metavar="SECONDS",
         help="TTFT SLO budget: enables slo_attainment accounting and "
              "feeds the queue-slo policy's scale-up threshold (0 = off)")
     simulate.add_argument(

@@ -243,8 +243,8 @@ class ReplayTable:
     The eager path rehydrates ~65k :class:`ReplayEvent` objects; this table
     keeps the six columns the events decompose into (kind code, allocation
     index, size, pooled flag, tag id, pool id) plus the two string tables.
-    :meth:`rows` yields plain-int tuples for the replay loop (converted from
-    the arrays once, not per access), and :meth:`event` rehydrates a single
+    :meth:`repro.simgpu.memory.DeviceAllocator.replay` runs over the
+    columns directly; :meth:`event` rehydrates a single
     :class:`ReplayEvent` for error paths and spot checks.
     """
 
@@ -259,36 +259,34 @@ class ReplayTable:
         self.pool_id = pool_id
         self.tags = tags
         self.pools = pools
-        self._rows: Optional[List[Tuple[int, int, int, int, str, str]]] = None
 
     def __len__(self) -> int:
         return int(self.kind.shape[0])
 
-    def rows(self) -> List[Tuple[int, int, int, int, str, str]]:
-        """All events as ``(kind, alloc_index, size, pooled, tag, pool)``
-        plain-Python tuples, converted once and cached."""
-        if self._rows is None:
-            tags, pools = self.tags, self.pools
-            self._rows = [
-                (kind, alloc_index, size, pooled,
-                 tags[tag] if tags else "",
-                 pools[pool] if pools else "default")
-                for kind, alloc_index, size, pooled, tag, pool in zip(
-                    self.kind.tolist(), self.alloc_index.tolist(),
-                    self.size.tolist(), self.pooled.tolist(),
-                    self.tag_id.tolist(), self.pool_id.tolist())
-            ]
-        return self._rows
-
     def event(self, position: int) -> ReplayEvent:
         """Rehydrate the one event at ``position`` (object fallback)."""
-        kind, alloc_index, size, pooled, tag, pool = self.rows()[position]
-        return ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
-                           size=size, tag=tag, pooled=bool(pooled), pool=pool)
+        tags, pools = self.tags, self.pools
+        return ReplayEvent(
+            kind=_EVENT_NAMES[int(self.kind[position])],
+            alloc_index=int(self.alloc_index[position]),
+            size=int(self.size[position]),
+            tag=tags[int(self.tag_id[position])] if tags else "",
+            pooled=bool(self.pooled[position]),
+            pool=pools[int(self.pool_id[position])] if pools else "default")
 
     def events(self) -> List[ReplayEvent]:
         """Every event as an object list (the eager equivalent)."""
-        return [self.event(i) for i in range(len(self))]
+        tags, pools = self.tags, self.pools
+        return [
+            ReplayEvent(kind=_EVENT_NAMES[kind], alloc_index=alloc_index,
+                        size=size, tag=tags[tag] if tags else "",
+                        pooled=bool(pooled),
+                        pool=pools[pool] if pools else "default")
+            for kind, alloc_index, size, pooled, tag, pool in zip(
+                self.kind.tolist(), self.alloc_index.tolist(),
+                self.size.tolist(), self.pooled.tolist(),
+                self.tag_id.tolist(), self.pool_id.tolist())
+        ]
 
 
 class GraphTable:

@@ -10,6 +10,10 @@ module is the array-native alternative over a
   ``alloc_index -> fresh base address + byte offset`` through two int64
   lookup tables built from the replayed allocations, and the bounds checks
   (unknown index, offset past the buffer end) are vector comparisons.
+- **Allocation replay is one loop** — the recorded (de)allocation
+  columns go through :meth:`repro.simgpu.memory.DeviceAllocator.replay`,
+  which returns the lookup tables above and builds ``Buffer`` objects only
+  for the allocations still live afterwards.
 - **Parameters stay packed** — each restored node holds a
   :class:`PackedParams` view into the resolved arrays; individual
   :class:`~repro.simgpu.kernels.KernelParam` objects materialize only when
@@ -203,7 +207,7 @@ class VectorizedRestorer:
         self.verify_dumps = verify_dumps
         #: No ladder on the fast path (hooks fall back to the object path).
         self.degradation = None
-        self._buffers: Dict[int, Buffer] = {}
+        self._allocator = None
         self._replay_cursor = 0
         self._name_to_address: Dict[str, int] = {}
         self._addr_by_alloc: Optional[np.ndarray] = None
@@ -248,7 +252,7 @@ class VectorizedRestorer:
             start = clock.now
             clock.advance(cm.artifact_load_base)
             # The real I/O: decompress the replay columns + name table.
-            artifact.replay_table().rows()
+            artifact.replay_table()
             artifact.kernel_name_table()
             return clock.now - start
 
@@ -256,7 +260,7 @@ class VectorizedRestorer:
             start = clock.now
             clock.advance(cm.kv_restore_time)
             self._verify_structure_prefix(engine)
-            consumed = self._replay_until(
+            consumed = self._replay(
                 process, stop_alloc_index=artifact.kv_alloc_index)
             clock.advance(cm.alloc_replay_per_event * consumed)
             kv_buffer = self._buffer(artifact.kv_alloc_index)
@@ -274,9 +278,8 @@ class VectorizedRestorer:
 
         def replay_alloc() -> float:
             start = clock.now
-            consumed = self._replay_until(process, stop_alloc_index=None)
+            consumed = self._replay(process, stop_alloc_index=None)
             clock.advance(cm.alloc_replay_per_event * consumed)
-            self._build_alloc_tables()
             return clock.now - start
 
         def restore_warmup() -> float:
@@ -374,80 +377,49 @@ class VectorizedRestorer:
 
     def _verify_structure_prefix(self, engine) -> None:
         """Check the deterministic-control-flow assumption (§2.5) holds."""
-        history = engine.process.allocator.history
+        allocator = engine.process.allocator
         expected = self.artifact.structure_prefix
-        if len(history) < len(expected):
+        made = allocator.num_allocations
+        if made < len(expected):
             raise RestorationError(
-                f"online process made {len(history)} allocations before "
+                f"online process made {made} allocations before "
                 f"restore; artifact expects a {len(expected)}-allocation "
                 f"structure-init prefix")
         for position, (size, tag) in enumerate(expected):
-            buffer = history[position]
+            buffer = allocator.buffer_by_alloc_index(position)
             if (buffer.size, buffer.tag) != (size, tag):
                 raise RestorationError(
                     f"allocation {position} diverged from the offline run: "
                     f"got ({buffer.size}, {buffer.tag!r}), artifact has "
                     f"({size}, {tag!r}) — control flow is not deterministic")
-            self._buffers[buffer.alloc_index] = buffer
 
-    def _replay_until(self, process, stop_alloc_index: Optional[int]) -> int:
-        """Replay recorded events from plain-tuple rows (no event objects)."""
-        rows = self.artifact.replay_table().rows()
-        buffers = self._buffers
-        cursor = self._replay_cursor
-        consumed = 0
-        total = len(rows)
-        while cursor < total:
-            kind, alloc_index, size, pooled, tag, pool = rows[cursor]
-            cursor += 1
-            consumed += 1
-            if kind == 0:            # alloc
-                buffer = process.malloc(size, tag=tag, pool=pool)
-                if buffer.alloc_index != alloc_index:
-                    raise RestorationError(
-                        f"replay drift: allocation came back as index "
-                        f"{buffer.alloc_index}, artifact expects "
-                        f"{alloc_index}")
-                buffers[alloc_index] = buffer
-                if stop_alloc_index is not None \
-                        and alloc_index == stop_alloc_index:
-                    break
-            elif kind == 1:          # free
-                buffer = self._buffer(alloc_index)
-                if pooled:
-                    process.pool_free(buffer.address)
-                else:
-                    process.free(buffer.address)
-            else:                    # empty_cache
-                process.empty_cache()
+    def _replay(self, process, stop_alloc_index: Optional[int]) -> int:
+        """Resume the recorded events in the allocator's batch replay.
+
+        Stops after allocating ``stop_alloc_index`` (the KV buffer), or
+        runs to the end and keeps the dense alloc-index -> (base address,
+        size) tables the pointer gather reads: freed buffers keep their
+        recorded base, and indices past the sequence fail the gather's
+        bounds check.  Returns the number of events replayed.
+        """
+        start = self._replay_cursor
+        self._allocator = process.allocator
+        cursor, addresses, sizes = process.replay(
+            self.artifact.replay_table(), start=start,
+            stop_alloc_index=stop_alloc_index)
         self._replay_cursor = cursor
-        return consumed
+        if stop_alloc_index is None:
+            self._addr_by_alloc, self._size_by_alloc = addresses, sizes
+        return cursor - start
 
     def _buffer(self, alloc_index: int) -> Buffer:
-        buffer = self._buffers.get(alloc_index)
-        if buffer is None:
+        allocator = self._allocator
+        if allocator is None \
+                or not 0 <= alloc_index < allocator.num_allocations:
             raise RestorationError(
                 f"indirect index {alloc_index} points outside the replayed "
                 f"allocation sequence")
-        return buffer
-
-    def _build_alloc_tables(self) -> None:
-        """Dense alloc-index -> (base address, size) lookup tables.
-
-        Mirrors the object path's ``_buffers`` dict exactly: freed buffers
-        keep their entries (pointers into them restore the recorded base),
-        and never-allocated indices translate to -1, caught by the gather's
-        bounds check.
-        """
-        buffers = self._buffers
-        limit = max(buffers) + 1 if buffers else 0
-        addresses = np.full(limit, -1, dtype=np.int64)
-        sizes = np.zeros(limit, dtype=np.int64)
-        for alloc_index, buffer in buffers.items():
-            addresses[alloc_index] = buffer.address
-            sizes[alloc_index] = buffer.size
-        self._addr_by_alloc = addresses
-        self._size_by_alloc = sizes
+        return allocator.buffer_by_alloc_index(alloc_index)
 
     # -- permanent dumps (§4.3) ---------------------------------------------
 

@@ -8,8 +8,9 @@ KV-cache read traffic that grows with context length during decoding.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
@@ -23,10 +24,13 @@ class ServingCostModel:
 
     config: ModelConfig
     cost_model: CostModel = field(default_factory=CostModel)
+    _capture_sizes: Tuple[int, ...] = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.config, str):
             self.config = get_model_config(self.config)
+        self._capture_sizes = tuple(sorted(self.config.capture_batch_sizes))
 
     # -- components ---------------------------------------------------------
 
@@ -36,10 +40,11 @@ class ServingCostModel:
                 * 2 * 2 * self.config.num_layers)
 
     def padded_batch(self, batch_size: int) -> int:
-        candidates = [b for b in self.config.capture_batch_sizes
-                      if b >= batch_size]
-        return min(candidates) if candidates else \
-            max(self.config.capture_batch_sizes)
+        """The smallest captured batch size >= ``batch_size`` (the largest
+        one when ``batch_size`` exceeds them all)."""
+        sizes = self._capture_sizes
+        position = bisect_left(sizes, batch_size)
+        return sizes[position] if position < len(sizes) else sizes[-1]
 
     # -- iteration times ---------------------------------------------------------
 

@@ -157,6 +157,23 @@ class CudaProcess:
             for interceptor in self._interceptors:
                 interceptor.on_free(buffer)
 
+    def replay(self, table, start: int = 0,
+               stop_alloc_index: Optional[int] = None
+               ) -> Tuple[int, np.ndarray, np.ndarray]:
+        """Batch-replay a recorded (de)allocation sequence.
+
+        See :meth:`DeviceAllocator.replay`.  The batch loop makes no
+        per-event calls, so an attached interceptor would miss every event:
+        replaying under one is refused (interceptors belong to the offline
+        capture, which allocates one call at a time).
+        """
+        if self._interceptors:
+            raise InvalidValueError(
+                "batch allocation replay with an interceptor attached — "
+                "interceptors observe one malloc/free call at a time; "
+                "detach them before restoring")
+        return self.allocator.replay(table, start, stop_alloc_index)
+
     def memcpy_h2d(self, buffer: Buffer, host_data: np.ndarray) -> None:
         """``cudaMemcpyAsync`` host->device: write payload, pay bandwidth.
 

@@ -19,10 +19,12 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
 )
+from repro.simgpu.memory import replay_per_event, replay_rows
 from repro.simgpu.process import ExecutionMode
 
 from tests.conftest import tiny_cost_model
 from tests.faults.conftest import assert_serves_correctly
+from tests.simgpu.replay_helpers import allocator_snapshot
 
 MODEL = "Tiny-2L"
 
@@ -98,6 +100,75 @@ class TestPathSelection:
         assert injector.fired
         assert report.timeline.plan != "medusa-pipelined"
         assert engine.capture_artifacts is not None
+
+
+class _SequentialRestorer(VectorizedRestorer):
+    """The fast path with the allocation replay done one call per event."""
+
+    def _replay(self, process, stop_alloc_index):
+        start = self._replay_cursor
+        self._allocator = process.allocator
+        self._replay_cursor = replay_per_event(
+            process.allocator, replay_rows(self.artifact.replay_table()),
+            start, stop_alloc_index)
+        if stop_alloc_index is None:
+            history = process.allocator.history
+            self._addr_by_alloc = np.array([b.address for b in history],
+                                           dtype=np.int64)
+            self._size_by_alloc = np.array([b.size for b in history],
+                                           dtype=np.int64)
+        return self._replay_cursor - start
+
+
+ZOO = ["Falcon-7B", "Llama2-7B", "Llama2-13B", "Qwen1.5-0.5B",
+       "Qwen1.5-1.8B", "Qwen1.5-4B", "Qwen1.5-7B", "Qwen1.5-14B", "Yi-6B",
+       "Yi-9B", "Tiny-2L", "Tiny-4L", "Tiny-Wide"]
+
+
+class TestBatchReplayZooSweep:
+    """For every zoo model the fast path restores, the batch replay's
+    address/size tables (and the whole restore) equal a per-event replay's."""
+
+    @pytest.mark.parametrize("model", ZOO)
+    def test_tables_match_sequential_replay(self, model, tmp_path):
+        from repro.core.offline import run_offline
+        from repro.models.zoo import get_model_config
+        subset = tuple(get_model_config(model).capture_batch_sizes[:3])
+        artifact, _ = run_offline(model, seed=11, batch_subset=subset)
+        path = tmp_path / "zoo.medusa.npz"
+        save_binary(artifact, path)
+        runs = []
+        for restorer_class in (VectorizedRestorer, _SequentialRestorer):
+            engine, _restorer = prepare_medusa_cold_start(
+                model, LazyArtifact(path), seed=5)
+            restorer = restorer_class(LazyArtifact(path))
+            report = engine.cold_start(restorer=restorer)
+            runs.append((restorer, engine, report))
+        (batch, batch_engine, batch_report), \
+            (sequential, sequential_engine, sequential_report) = runs
+        assert batch._addr_by_alloc.tolist() == \
+            sequential._addr_by_alloc.tolist()
+        assert batch._size_by_alloc.tolist() == \
+            sequential._size_by_alloc.tolist()
+        assert allocator_snapshot(batch_engine.process.allocator) == \
+            allocator_snapshot(sequential_engine.process.allocator)
+        assert batch_report.timeline == sequential_report.timeline
+
+
+class TestReplayErrors:
+    def test_corrupted_alloc_index_raises_replay_drift(self, tiny2l_npz):
+        artifact = LazyArtifact(tiny2l_npz)
+        table = artifact.replay_table()
+        position = int(np.flatnonzero(table.kind == 0)[-1])
+        table.alloc_index[position] += 1
+        engine, restorer = prepare_medusa_cold_start(
+            MODEL, artifact, seed=7, cost_model=tiny_cost_model())
+        with pytest.raises(RestorationError, match="replay drift"):
+            engine.cold_start(restorer=restorer)
+        # The drifting allocation was made, and nothing after it.
+        allocator = engine.process.allocator
+        assert allocator.events[-1].kind == "alloc"
+        assert allocator.num_allocations == int(table.alloc_index[position])
 
 
 class TestPipelinedTimeline:

@@ -44,6 +44,18 @@ class TestServingCosts:
         assert costs.padded_batch(8) == 8
         assert costs.padded_batch(1000) == 256
 
+    @pytest.mark.parametrize("model", ["Llama2-7B", "Qwen1.5-0.5B",
+                                       "Tiny-2L"])
+    def test_padded_batch_matches_linear_scan(self, model):
+        """The bisect lookup equals the old per-step scan for every batch
+        size from 0 to five past the largest captured one."""
+        costs = ServingCostModel(model)
+        sizes = costs.config.capture_batch_sizes
+        for batch_size in range(max(sizes) + 6):
+            candidates = [b for b in sizes if b >= batch_size]
+            expected = min(candidates) if candidates else max(sizes)
+            assert costs.padded_batch(batch_size) == expected
+
 
 def request(rid, arrival=0.0, prompt=100, output=3):
     return Request(request_id=rid, arrival_time=arrival,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import IllegalMemoryAccessError
+from repro.errors import IllegalMemoryAccessError, InvalidValueError
 from repro.simgpu.kernels import magic_values
 from repro.simgpu.memory import Buffer
 from repro.simgpu.process import CudaProcess, ExecutionMode, Interceptor
@@ -99,6 +99,17 @@ class TestInterception:
         process.add_interceptor(self._Recorder())
         process.malloc(256)
         assert process.clock.now > before
+
+    def test_batch_replay_refused_while_intercepting(self, process):
+        from tests.simgpu.replay_helpers import make_table
+        table = make_table([(0, 0, 256, 0, 0, 0)])
+        recorder = self._Recorder()
+        process.add_interceptor(recorder)
+        with pytest.raises(InvalidValueError, match="interceptor"):
+            process.replay(table)
+        assert process.allocator.num_allocations == 0
+        process.remove_interceptor(recorder)
+        assert process.replay(table)[0] == 1
 
 
 class TestSnapshots:

@@ -30,6 +30,44 @@ class TestParser:
             build_parser().parse_args([])
 
 
+class TestUsageErrors:
+    """Bad numeric arguments are usage errors: one line, exit 2, no
+    traceback, before any work runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--model", "Qwen1.5-0.5B", "--rps", "-1"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--rps", "0"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--rps", "nan"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--rps", "fast"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--gpus", "0"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--gpus", "-2"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--gpus", "1.5"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--duration", "0"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--duration", "inf"],
+        ["simulate", "--model", "Qwen1.5-0.5B", "--slo-ttft", "-0.5"],
+        ["coldstart", "--model", "Tiny-2L", "--seed", "x"],
+        ["offline", "--model", "Tiny-2L", "--output", "o.json",
+         "--seed", "1.5"],
+        ["validate", "--artifact", "a.json", "--seed", "x"],
+        ["restore", "--model", "Tiny-2L", "--artifact", "a.json",
+         "--seed", "x"],
+    ])
+    def test_exits_two_with_one_line_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith(f"repro {argv[0]}: error: argument ")
+
+    def test_zero_slo_ttft_still_means_off(self):
+        args = build_parser().parse_args(
+            ["simulate", "--model", "Tiny-2L", "--slo-ttft", "0"])
+        assert args.slo_ttft == 0.0
+
+
 class TestCommands:
     def test_models_lists_ten(self, capsys):
         assert main(["models"]) == 0
