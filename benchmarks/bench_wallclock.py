@@ -1,16 +1,17 @@
-"""Wall-clock benchmark for the pipelined restoration fast path.
+"""Wall-clock benchmark for artifact load and restore.
 
 Unlike the figure benches (which report *simulated* seconds), this harness
 times the restoration machinery itself with ``time.perf_counter``: binary
-artifact save, eager vs lazy load, the object-path vs vectorized restore
-over a paper-scale artifact (~16k graph nodes, ~65k replay events for
-Qwen1.5-4B), and the artifact's allocation replay done one allocator call
-per event vs in one ``DeviceAllocator.replay`` loop.  It writes
-``BENCH_restore.json`` with the p50 wall-clock numbers plus the simulated
-critical-path seconds per strategy.  With ``--quick`` (the CI perf-smoke
-gate) it exits non-zero unless the vectorized restore beats the object
-path by ``--assert-speedup`` and the batch replay beats the per-event one
-by ``QUICK_MIN_REPLAY_SPEEDUP``; both are same-machine ratios, so the gate
+artifact save, eager vs lazy load, a plain vs a guarded (degradation
+policy armed, no fault) load+restore over a paper-scale artifact (~16k
+graph nodes, ~65k replay events for Qwen1.5-4B), a chunk-store get, and
+the artifact's allocation replay done one allocator call per event vs in
+one ``DeviceAllocator.replay`` loop.  It writes ``BENCH_restore.json``
+with the p50 wall-clock numbers plus the simulated critical-path seconds
+per strategy.  With ``--quick`` (the CI perf-smoke gate) it exits non-zero
+unless the guarded restore stays within ``QUICK_MAX_GUARDED_RATIO`` of the
+plain one and the batch replay beats the per-event one by
+``QUICK_MIN_REPLAY_SPEEDUP``; both are same-machine ratios, so the gate
 does not depend on the runner's speed.
 
 Run it directly::
@@ -32,6 +33,7 @@ from repro.core.binfmt import LazyArtifact, load_binary, save_binary
 from repro.core.offline import run_offline
 from repro.core.online import prepare_medusa_cold_start
 from repro.engine import LLMEngine, Strategy
+from repro.faults import DegradationPolicy
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.memory import DeviceAllocator, replay_per_event, replay_rows
 
@@ -40,6 +42,10 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: ``--quick`` fails unless the batch replay is this many times faster
 #: than the per-event one.
 QUICK_MIN_REPLAY_SPEEDUP = 3.0
+#: ``--quick`` fails when the guarded load+restore p50 exceeds the plain
+#: one by more than this factor: an armed policy with no fault must run
+#: the same restore.
+QUICK_MAX_GUARDED_RATIO = 1.5
 
 
 def _p50(fn: Callable[[], object], repeats: int) -> float:
@@ -52,17 +58,17 @@ def _p50(fn: Callable[[], object], repeats: int) -> float:
     return statistics.median(samples)
 
 
-def _restore_p50(model: str, open_artifact: Callable[[], object],
-                 fast: bool, repeats: int) -> float:
-    """p50 wall-clock of one full restore (artifact open + cold start).
+def _restore_p50(model: str, npz_path: pathlib.Path, policy,
+                 repeats: int) -> float:
+    """p50 wall-clock of one full restore (lazy npz open + cold start).
 
     Each repeat opens the artifact afresh and builds a fresh engine, so
-    the measurement covers exactly what a cold start pays: deserialization
-    (eager) or the npz index read (lazy) plus the restoration itself.
+    the measurement covers exactly what a cold start pays: the npz index
+    read plus the restoration itself.
     """
     def run():
         engine, restorer = prepare_medusa_cold_start(
-            model, open_artifact(), seed=9600, fast=fast)
+            model, LazyArtifact(npz_path), seed=9600, policy=policy)
         engine.cold_start(restorer=restorer)
     return _p50(run, repeats)
 
@@ -98,31 +104,20 @@ def _replay_p50s(npz_path: pathlib.Path, repeats: int) -> Dict[str, float]:
     }
 
 
-def _chunk_store_p50s(artifact, workdir: pathlib.Path,
-                      repeats: int) -> Dict[str, float]:
-    """p50 wall-clock of chunk-store gets: serial vs parallel decompress.
+def _chunk_get_p50(artifact, workdir: pathlib.Path, repeats: int) -> float:
+    """p50 wall-clock of one chunk-store get.
 
     ``ArtifactStore.get`` reassembles the artifact from its manifest's
-    content-addressed chunks; with ``parallel_workers`` a thread pool
-    decompresses independent chunks concurrently.  Each repeat uses a
-    cache-disabled store so every get pays the full decompress.
+    content-addressed chunks.  The store has its cache disabled, so every
+    get pays the full decompress.
     """
     from repro.core.store import ArtifactStore
 
     root = workdir / "chunk-store"
-    seed_store = ArtifactStore(root)
-    seed_store.put(artifact)
+    ArtifactStore(root).put(artifact)
+    store = ArtifactStore(root, cache_size=0)
     key = (artifact.gpu_name, artifact.model_name)
-
-    def get_with(workers: int) -> Callable[[], object]:
-        store = ArtifactStore(root, cache_size=0,
-                              parallel_workers=workers)
-        return lambda: store.get(*key)
-
-    return {
-        "chunk_get_serial": _p50(get_with(0), repeats),
-        "chunk_get_parallel": _p50(get_with(4), repeats),
-    }
+    return _p50(lambda: store.get(*key), repeats)
 
 
 def _simulated_critical_paths(model: str, artifact,
@@ -132,7 +127,7 @@ def _simulated_critical_paths(model: str, artifact,
     for strategy in Strategy:
         if strategy is Strategy.MEDUSA:
             engine, restorer = prepare_medusa_cold_start(
-                model, artifact, seed=9601, fast=False)
+                model, artifact, seed=9601)
             report = engine.cold_start(restorer=restorer)
         else:
             report = LLMEngine(model, strategy, seed=9601).cold_start()
@@ -142,7 +137,7 @@ def _simulated_critical_paths(model: str, artifact,
             "total": report.timeline.total,
         }
     engine, restorer = prepare_medusa_cold_start(
-        model, LazyArtifact(lazy_path), seed=9601, fast=True)
+        model, LazyArtifact(lazy_path), seed=9601)
     report = engine.cold_start(restorer=restorer)
     results["medusa-pipelined"] = {
         "loading": report.loading_time,
@@ -163,14 +158,13 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
     save_p50 = _p50(lambda: save_binary(artifact, npz_path), repeats)
     eager_load_p50 = _p50(lambda: load_binary(npz_path), repeats)
     lazy_open_p50 = _p50(lambda: LazyArtifact(npz_path), repeats)
-    object_restore_p50 = _restore_p50(
-        model, lambda: load_binary(npz_path), fast=False, repeats=repeats)
-    fast_restore_p50 = _restore_p50(
-        model, lambda: LazyArtifact(npz_path), fast=True, repeats=repeats)
+    restore_p50 = _restore_p50(model, npz_path, None, repeats)
+    guarded_p50 = _restore_p50(model, npz_path, DegradationPolicy(),
+                               repeats)
     replay_p50s = _replay_p50s(npz_path, repeats)
 
-    print("timing chunk-store gets (serial vs parallel)...", flush=True)
-    chunk_p50s = _chunk_store_p50s(artifact, workdir, repeats)
+    print("timing chunk-store gets...", flush=True)
+    chunk_get_p50 = _chunk_get_p50(artifact, workdir, repeats)
 
     print("deriving simulated critical paths per strategy...", flush=True)
     simulated = _simulated_critical_paths(model, artifact, npz_path)
@@ -187,23 +181,23 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             "save_binary": save_p50,
             "load_binary_eager": eager_load_p50,
             "lazy_open": lazy_open_p50,
-            # Full load+restore wall-clock: eager deserialize + object-path
-            # restorer vs lazy npz open + vectorized restorer.
-            "load_restore_object_path": object_restore_p50,
-            "load_restore_fast_path": fast_restore_p50,
+            # Full load+restore wall-clock (lazy npz open + restore),
+            # without and with a degradation policy armed.
+            "load_restore": restore_p50,
+            "load_restore_guarded": guarded_p50,
             # Content-addressed chunk store: full get (manifest +
-            # decompress + reassemble), one thread vs a 4-worker pool.
-            **chunk_p50s,
+            # decompress + reassemble).
+            "chunk_get": chunk_get_p50,
             # The whole allocation replay: one allocator call per event
             # vs the DeviceAllocator.replay loop.
             **replay_p50s,
         },
         "speedup": {
-            "load_restore": object_restore_p50 / max(fast_restore_p50, 1e-9),
             "load": eager_load_p50 / max(lazy_open_p50, 1e-9),
             "replay": replay_p50s["replay_sequential"]
             / max(replay_p50s["replay_batch"], 1e-9),
         },
+        "guarded_over_plain": guarded_p50 / max(restore_p50, 1e-9),
         "simulated_critical_path_s": simulated,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
@@ -226,19 +220,16 @@ def main(argv=None) -> int:
                              "(default: a temp directory)")
     parser.add_argument("--quick", action="store_true",
                         help="CI perf-smoke mode: smaller model, fewer "
-                             "repeats, --assert-speedup 2.0, and a "
+                             "repeats, a guarded-restore gate (at most "
+                             f"{QUICK_MAX_GUARDED_RATIO:g}x the plain "
+                             "restore) and a "
                              f"{QUICK_MIN_REPLAY_SPEEDUP:g}x batch-replay "
                              "gate")
-    parser.add_argument("--assert-speedup", type=float, default=None,
-                        help="exit 1 unless fast-path load+restore beats "
-                             "the object path by this factor")
     args = parser.parse_args(argv)
     model, repeats = args.model, args.repeats
-    min_speedup = args.assert_speedup
     if args.quick:
         model = "Qwen1.5-0.5B" if args.model == "Qwen1.5-4B" else args.model
         repeats = min(repeats, 3)
-        min_speedup = 2.0 if min_speedup is None else min_speedup
 
     if args.workdir is None:
         import tempfile
@@ -250,18 +241,17 @@ def main(argv=None) -> int:
                            pathlib.Path(args.workdir))
 
     wall = report["wallclock_p50_s"]
-    speedup = report["speedup"]["load_restore"]
-    print(f"load+restore p50: object path "
-          f"{wall['load_restore_object_path'] * 1e3:.1f} ms, fast path "
-          f"{wall['load_restore_fast_path'] * 1e3:.1f} ms "
-          f"({speedup:.1f}x)")
+    guarded_ratio = report["guarded_over_plain"]
+    print(f"load+restore p50: plain {wall['load_restore'] * 1e3:.1f} ms, "
+          f"guarded {wall['load_restore_guarded'] * 1e3:.1f} ms "
+          f"({guarded_ratio:.2f}x)")
     replay_speedup = report["speedup"]["replay"]
     print(f"allocation replay p50: per event "
           f"{wall['replay_sequential'] * 1e3:.1f} ms, batch "
           f"{wall['replay_batch'] * 1e3:.1f} ms ({replay_speedup:.1f}x)")
-    if min_speedup is not None and speedup < min_speedup:
-        print(f"FAIL: fast path is only {speedup:.2f}x the object path "
-              f"(required {min_speedup:g}x)", file=sys.stderr)
+    if args.quick and guarded_ratio > QUICK_MAX_GUARDED_RATIO:
+        print(f"FAIL: guarded restore is {guarded_ratio:.2f}x the plain "
+              f"one (allowed {QUICK_MAX_GUARDED_RATIO:g}x)", file=sys.stderr)
         return 1
     if args.quick and replay_speedup < QUICK_MIN_REPLAY_SPEEDUP:
         print(f"FAIL: batch replay is only {replay_speedup:.2f}x the "

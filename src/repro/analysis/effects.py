@@ -19,7 +19,7 @@ reasons over:
   without per-plan declarations.
 
 The action/effect tables here are the lint-side mirror of the runtime
-registries (``LLMEngine._stage_actions``, ``OnlineRestorer``/
+registries (``LLMEngine._stage_actions``,
 ``VectorizedRestorer.stage_actions``, ``repro.faults.ladder``); sync
 tests in ``tests/analysis/test_planlint.py`` keep them honest.
 """
@@ -115,8 +115,7 @@ ENGINE_ACTION_EFFECTS: Dict[str, Effects] = {
                        writes=(GRAPHS,)),
 }
 
-#: The restorer-contributed actions (``OnlineRestorer`` /
-#: ``VectorizedRestorer.stage_actions``).
+#: The restorer-contributed actions (``VectorizedRestorer.stage_actions``).
 RESTORE_ACTION_EFFECTS: Dict[str, Effects] = {
     "fetch_artifact": effects(writes=(ARTIFACT,)),
     "restore_kv": effects(reads=(ARTIFACT, STRUCTURE_STATE),

@@ -28,7 +28,8 @@ exit-code convention:
 artifact could not be read at all.  With ``validate --degraded-ok`` a
 restore that walked the degradation ladder but still serves correct
 outputs exits 3 — distinguishable from both a clean pass and a hard
-failure.
+failure.  An unreadable artifact exits 2 with a one-line ``error:``
+message on every subcommand (:func:`main` handles it once).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
+from repro.errors import ArtifactError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -103,8 +105,8 @@ def _load_artifact(path: str):
     """Open an artifact path: ``.npz`` lazily, anything else as JSON.
 
     Binary artifacts come back as :class:`repro.core.binfmt.LazyArtifact`,
-    which routes ``coldstart``/``restore``/``validate`` onto the pipelined
-    fast path (`medusa_cold_start(fast=...)` auto-detects it).
+    which ``coldstart``/``restore``/``validate`` restore under the
+    pipelined plan.
     """
     if str(path).endswith(".npz"):
         return LazyArtifact(path)
@@ -313,15 +315,10 @@ def _cmd_restore(args) -> int:
 
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_artifact, lint_file
-    from repro.errors import ArtifactError
-    try:
-        if str(args.artifact).endswith(".npz"):
-            report = lint_artifact(LazyArtifact(args.artifact).materialize())
-        else:
-            report = lint_file(args.artifact)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if str(args.artifact).endswith(".npz"):
+        report = lint_artifact(LazyArtifact(args.artifact).materialize())
+    else:
+        report = lint_file(args.artifact)
     if args.json:
         print(report.to_json())
     else:
@@ -365,14 +362,10 @@ def _cmd_lint_plan(args) -> int:
 def _cmd_validate(args) -> int:
     import json as _json
 
-    from repro.errors import ArtifactError, MaterializationError
+    from repro.errors import MaterializationError
     from repro.reporting import format_diagnostics
 
-    try:
-        artifact = _load_artifact(args.artifact)
-    except ArtifactError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    artifact = _load_artifact(args.artifact)
     model = args.model or artifact.model_name
     policy = None
     if getattr(args, "degraded_ok", False):
@@ -498,7 +491,11 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ArtifactError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -9,15 +9,17 @@ online critical path (§7.3).
 
 Two readers share the on-disk format:
 
-- :func:`load_binary` — the eager path: rehydrate everything into
-  per-node :class:`~repro.core.artifact.MaterializedNode` /
-  :class:`~repro.core.artifact.ReplayEvent` Python objects (the pre-fast-
-  path behavior, kept callable as the comparison baseline);
-- :class:`LazyArtifact` — the fast path: open the npz and parse only the
-  embedded JSON metadata; the bulk replay/parameter tables stay numpy
-  arrays (:class:`ReplayTable`, :class:`GraphTable`), decompressed
-  per-graph on first access, and are consumed array-at-a-time by
+- :func:`load_binary` — rehydrate everything into per-node
+  :class:`~repro.core.artifact.MaterializedNode` /
+  :class:`~repro.core.artifact.ReplayEvent` Python objects;
+- :class:`LazyArtifact` — open the npz and parse only the embedded JSON
+  metadata; the bulk replay/parameter tables stay numpy arrays
+  (:class:`ReplayTable`, :class:`GraphTable`), decompressed per-graph on
+  first access, and are consumed array-at-a-time by
   :mod:`repro.core.fastpath` without ever becoming Python objects.
+
+:func:`lazy_view` gives an eager artifact the same columnar face, so the
+restorer reads one representation whatever the artifact's form.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from repro.errors import ArtifactError
 
 _KIND_CODES = {CONST: 0, POINTER: 1}
 _KIND_NAMES = {0: CONST, 1: POINTER}
+#: ``param_kinds`` code of a pointer slot in a :class:`GraphTable`.
+POINTER_CODE = _KIND_CODES[POINTER]
 _EVENT_CODES = {"alloc": 0, "free": 1, "empty_cache": 2}
 _EVENT_NAMES = {0: "alloc", 1: "free", 2: "empty_cache"}
 
@@ -141,6 +145,16 @@ def artifact_arrays(
         "stats": artifact.stats,
     }
     return arrays, metadata
+
+
+def lazy_view(artifact: MaterializedModel) -> "LazyArtifact":
+    """An in-memory :class:`LazyArtifact` over ``artifact``'s arrays.
+
+    Lossless: the arrays and metadata are exactly what :func:`save_binary`
+    writes, so the view restores like the artifact's own ``.npz``.
+    """
+    arrays, metadata = artifact_arrays(artifact)
+    return LazyArtifact("<memory>", data=arrays, meta=metadata)
 
 
 def save_binary(artifact: MaterializedModel, path) -> int:
@@ -372,7 +386,8 @@ class LazyArtifact:
     size never pays for the others.  The metadata properties mirror
     :class:`~repro.core.artifact.MaterializedModel`, and
     :meth:`materialize` rehydrates the full eager artifact (byte-identical
-    to :func:`load_binary`) for consumers that need per-event hooks.
+    to :func:`load_binary`) for consumers that read objects, such as the
+    static lint.
     """
 
     def __init__(self, path, data=None, meta=None):
@@ -604,8 +619,7 @@ class LazyArtifact:
     def materialize(self) -> MaterializedModel:
         """Rehydrate the full eager artifact (== :func:`load_binary`).
 
-        The escape hatch for consumers that need per-event/per-node object
-        hooks — fault injectors, the degradation ladder, static lint.
+        For consumers that read per-node objects, such as static lint.
         """
         meta = self._meta
         artifact = MaterializedModel(

@@ -38,7 +38,6 @@ import io
 import json
 import struct
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
@@ -467,27 +466,6 @@ class ChunkReader:
             members = self._decode(name)
             self._chunks[name] = members
         return members
-
-    def prefetch(self, names: Optional[List[str]] = None,
-                 workers: int = 0) -> None:
-        """Decompress chunks ahead of member access.
-
-        With ``workers > 1`` the not-yet-loaded chunks decompress on a
-        :class:`~concurrent.futures.ThreadPoolExecutor` — each decode is
-        independent (read + zlib + np.load), so this is the store's
-        parallel read path.  Serial otherwise.
-        """
-        if names is None:
-            names = [ref.name for ref in self.manifest.chunks]
-        pending = [name for name in names if name not in self._chunks]
-        if workers > 1 and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for name, members in zip(pending,
-                                         pool.map(self._decode, pending)):
-                    self._chunks[name] = members
-        else:
-            for name in pending:
-                self.chunk(name)
 
     def __getitem__(self, member: str) -> np.ndarray:
         sources = self._sources.get(member)

@@ -28,10 +28,6 @@ deserialization path:
   artifact; treat it as read-only.  The cache is bypassed entirely while
   a :class:`~repro.faults.FaultInjector` is active, so chaos runs always
   see freshly corrupted copies.
-
-``parallel_workers > 1`` decompresses independent chunks on a
-:class:`~concurrent.futures.ThreadPoolExecutor` during :meth:`get` /
-:meth:`get_lazy` prefetch (measured in ``benchmarks/bench_wallclock.py``).
 """
 
 from __future__ import annotations
@@ -65,7 +61,7 @@ class ArtifactStore:
     """Materialization artifacts for many models on one storage path."""
 
     def __init__(self, root, lint_on_load: bool = False, injector=None,
-                 cache_size: int = 4, parallel_workers: int = 0):
+                 cache_size: int = 4):
         """``lint_on_load``: statically verify every artifact fetched with
         :meth:`get` (see :mod:`repro.analysis`) and raise
         :class:`~repro.errors.LintError` on error-severity diagnostics —
@@ -80,16 +76,12 @@ class ArtifactStore:
         still looks fine.
 
         ``cache_size``: in-memory LRU capacity in artifacts (content-hash
-        keyed); 0 disables caching entirely.
-
-        ``parallel_workers``: decompress this many chunks concurrently on
-        reads (0/1 = serial)."""
+        keyed); 0 disables caching entirely."""
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.lint_on_load = lint_on_load
         self.injector = injector
         self.cache_size = cache_size
-        self.parallel_workers = parallel_workers
         self.cache_hits = 0
         self.cache_misses = 0
         self.index_reads = 0
@@ -209,7 +201,6 @@ class ArtifactStore:
                 return cached
             self.cache_misses += 1
         lazy = self._open_chunked(manifest, filename)
-        lazy.reader.prefetch(workers=self.parallel_workers)
         artifact = lazy.materialize()
         if self.injector is not None and self.injector.active:
             artifact = self.injector.corrupted_artifact(artifact)

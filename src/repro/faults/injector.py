@@ -3,21 +3,23 @@
 A :class:`FaultInjector` wraps one :class:`~repro.faults.plan.FaultPlan` and
 is threaded through the layers a restore actually crosses — the artifact
 store (load-time corruption), the simulated driver (symbol resolution), and
-the online restorer (allocation replay, permanent dumps, trigger launches).
+the restorer (allocation replay, permanent dumps, trigger launches).
 ``prepare(artifact)`` resolves every underspecified fault target against the
-concrete artifact using the plan's seeded RNG, so the same (plan, artifact)
-pair always faults at the same site.
+artifact's columnar view using the plan's seeded RNG, so the same (plan,
+artifact) pair always faults at the same site, whatever the artifact's form.
 """
 
 from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.artifact import MaterializedModel, ReplayEvent
+from repro.core.binfmt import POINTER_CODE, GraphTable, LazyArtifact, \
+    lazy_view
 from repro.core.pointer_analysis import POINTER
 from repro.errors import InvalidValueError, OutOfMemoryError
 from repro.faults.plan import (
@@ -42,22 +44,18 @@ def _pointer_sites(param_restores) -> List[int]:
             or (isinstance(restore, dict) and restore.get("kind") == POINTER)]
 
 
-def _pick_corruption_site(nodes, first_layer_nodes: int,
-                          restores_of) -> Tuple[int, int]:
-    """(node index, param index) to corrupt in one graph.
+def _pick_corruption_site(nodes, restores_of) -> Tuple[int, int]:
+    """(node index, param index) to corrupt in one graph: its last pointer.
 
-    Prefers a node *after* the first-layer prefix so the poison stays local
-    to the graph's restore tail instead of breaking the shared warm-up.
+    The last pointer sits after the first-layer prefix whenever the graph
+    has one there, so the poison stays local to the graph's restore tail
+    instead of breaking the shared warm-up.  :meth:`FaultInjector.
+    corrupted_tables` picks the same slot in the packed columns.
     """
-    candidates = []
     for node_index in range(len(nodes) - 1, -1, -1):
         sites = _pointer_sites(restores_of(nodes[node_index]))
         if sites:
-            candidates.append((node_index, sites[-1]))
-            if node_index >= first_layer_nodes:
-                return node_index, sites[-1]
-    if candidates:
-        return candidates[0]
+            return node_index, sites[-1]
     raise InvalidValueError(
         "graph has no pointer-restore parameters to corrupt")
 
@@ -70,8 +68,7 @@ def corrupt_graph_payload(payload: Dict, batch_size: Optional[int] = None) -> Di
     key = str(batch_size) if batch_size is not None else sorted(graphs)[0]
     nodes = graphs[key]["nodes"]
     node_index, param_index = _pick_corruption_site(
-        nodes, payload.get("first_layer_nodes", 0),
-        lambda node: node["param_restores"])
+        nodes, lambda node: node["param_restores"])
     nodes[node_index]["param_restores"][param_index]["offset"] = _CORRUPT_OFFSET
     return payload
 
@@ -112,23 +109,31 @@ class FaultInjector:
     # Target resolution
     # ------------------------------------------------------------------
 
-    def prepare(self, artifact: MaterializedModel) -> None:
-        """Pin every fault's target against ``artifact`` (idempotent)."""
+    def prepare(self, artifact) -> None:
+        """Pin every fault's target against ``artifact`` (idempotent).
+
+        ``artifact`` is a :class:`~repro.core.binfmt.LazyArtifact` or an
+        eager :class:`MaterializedModel` (resolved over its
+        :func:`~repro.core.binfmt.lazy_view`, so both forms of one artifact
+        pin the same targets).
+        """
         if self._prepared or not self.active:
             self._prepared = True
             return
+        if isinstance(artifact, MaterializedModel):
+            artifact = lazy_view(artifact)
         self._resolved = [self._resolve(index, spec, artifact)
                           for index, spec in enumerate(self.plan.faults)]
         self._prepared = True
 
     def _resolve(self, index: int, spec: FaultSpec,
-                 artifact: MaterializedModel) -> _ResolvedFault:
+                 artifact: LazyArtifact) -> _ResolvedFault:
         rng = self.plan.rng("fault", index, spec.kind.value)
         resolved = _ResolvedFault(spec=spec)
+        batches = artifact.batches
         if spec.kind is FaultKind.ARTIFACT_CORRUPTION:
-            batches = sorted(artifact.graphs)
             resolved.batch_size = spec.batch_size if spec.batch_size in \
-                artifact.graphs else batches[int(rng.integers(len(batches)))]
+                batches else batches[int(rng.integers(len(batches)))]
         elif spec.kind in (FaultKind.REPLAY_DIVERGENCE, FaultKind.REPLAY_OOM):
             resolved.event_index = self._resolve_replay_target(
                 spec, artifact, rng)
@@ -136,19 +141,15 @@ class FaultInjector:
             # Only kernels outside the captured first-layer prefix ever go
             # through dlsym/enumeration — prefix kernels get their address
             # from the captured warm-up graph and would never miss.
-            max_graph = artifact.graph(max(artifact.graphs))
-            prefix = {node.kernel_name
-                      for node in
-                      max_graph.nodes[:artifact.first_layer_nodes]}
-            names = sorted({node.kernel_name
-                            for graph in artifact.graphs.values()
-                            for node in graph.nodes} - prefix) \
+            prefix = set(artifact.graph_table(max(batches))
+                         .node_kernel_names()[:artifact.first_layer_nodes])
+            names = sorted(set(artifact.kernel_name_table()) - prefix) \
                 or sorted(artifact.kernel_libraries)
             resolved.kernel_name = spec.kernel_name or \
                 names[int(rng.integers(len(names)))]
         elif spec.kind is FaultKind.PERMANENT_DUMP_BITFLIP:
             dumps = sorted(artifact.permanent_contents)
-            if spec.alloc_index in artifact.permanent_contents:
+            if spec.alloc_index in dumps:
                 resolved.alloc_index = spec.alloc_index
             elif dumps:
                 resolved.alloc_index = dumps[int(rng.integers(len(dumps)))]
@@ -156,35 +157,33 @@ class FaultInjector:
             if spec.kernel_name:
                 resolved.kernel_name = spec.kernel_name
             else:
-                graph = artifact.graph(max(artifact.graphs))
-                prefix = graph.nodes[:artifact.first_layer_nodes] or graph.nodes
-                names = sorted({node.kernel_name for node in prefix})
+                nodes = artifact.graph_table(max(batches)).node_kernel_names()
+                prefix = nodes[:artifact.first_layer_nodes] or nodes
+                names = sorted(set(prefix))
                 resolved.kernel_name = names[int(rng.integers(len(names)))]
         return resolved
 
     @staticmethod
-    def _resolve_replay_target(spec: FaultSpec,
-                               artifact: MaterializedModel,
+    def _resolve_replay_target(spec: FaultSpec, artifact: LazyArtifact,
                                rng) -> Optional[int]:
-        events = artifact.replay_events
+        table = artifact.replay_table()
+        count = len(table)
         if spec.event_index is not None:
-            return spec.event_index if 0 <= spec.event_index < len(events) \
+            return spec.event_index if 0 <= spec.event_index < count \
                 else None
-        kv_pos = next((i for i, e in enumerate(events)
-                       if e.kind == "alloc"
-                       and e.alloc_index == artifact.kv_alloc_index),
-                      len(events) - 1)
-        phase = spec.phase or PHASE_WARMUP
-        if phase == PHASE_KV:
-            span = range(0, kv_pos + 1)
-        else:
-            span = range(kv_pos + 1, len(events))
         # Both replay faults model cudaMalloc misbehavior (an unexpected
         # return or a failure), so only alloc events are meaningful targets.
-        candidates = [i for i in span if events[i].kind == "alloc"]
-        if not candidates:
+        is_alloc = np.asarray(table.kind) == 0
+        kv_hits = np.flatnonzero(is_alloc & (np.asarray(table.alloc_index)
+                                             == artifact.kv_alloc_index))
+        kv_pos = int(kv_hits[0]) if kv_hits.size else count - 1
+        phase = spec.phase or PHASE_WARMUP
+        low, high = (0, kv_pos + 1) if phase == PHASE_KV \
+            else (kv_pos + 1, count)
+        candidates = np.flatnonzero(is_alloc[low:high]) + low
+        if not candidates.size:
             return kv_pos if phase == PHASE_KV else None
-        return candidates[int(rng.integers(len(candidates)))]
+        return int(candidates[int(rng.integers(candidates.size))])
 
     def _faults(self, *kinds: FaultKind) -> List[_ResolvedFault]:
         return [f for f in self._resolved if f.kind in kinds]
@@ -195,8 +194,9 @@ class FaultInjector:
 
     def corrupted_artifact(self, artifact: MaterializedModel
                            ) -> MaterializedModel:
-        """Apply ARTIFACT_CORRUPTION faults; returns a mutated deep copy
-        (or ``artifact`` itself when no corruption fault targets it)."""
+        """Apply ARTIFACT_CORRUPTION faults to an eager artifact (the
+        store's load path); returns a mutated deep copy (or ``artifact``
+        itself when no corruption fault targets it)."""
         self.prepare(artifact)
         faults = self._faults(FaultKind.ARTIFACT_CORRUPTION)
         if not faults:
@@ -205,20 +205,62 @@ class FaultInjector:
         for fault in faults:
             graph = corrupted.graph(fault.batch_size)
             node_index, param_index = _pick_corruption_site(
-                graph.nodes, corrupted.first_layer_nodes,
-                lambda node: node.param_restores)
+                graph.nodes, lambda node: node.param_restores)
             restore = graph.nodes[node_index].param_restores[param_index]
             graph.nodes[node_index].param_restores[param_index] = \
                 replace(restore, offset=_CORRUPT_OFFSET)
-            self.record("store.load",
-                        f"corrupted batch-{fault.batch_size} graph node "
-                        f"{node_index} param {param_index} (offset pushed "
-                        f"out of bounds)")
+            self._record_corruption(fault.batch_size, node_index, param_index)
         return corrupted
+
+    def corrupted_tables(self, artifact: LazyArtifact
+                         ) -> Dict[int, GraphTable]:
+        """Apply ARTIFACT_CORRUPTION faults to the columnar view.
+
+        Returns batch size -> a copy of that graph's table whose packed
+        ``param_byte_offsets`` column has the canonical corruption (the
+        graph's last pointer slot pushed out of bounds); the artifact's own
+        arrays stay untouched.
+        """
+        self.prepare(artifact)
+        tables: Dict[int, GraphTable] = {}
+        for fault in self._faults(FaultKind.ARTIFACT_CORRUPTION):
+            batch = fault.batch_size
+            table = tables.get(batch) or artifact.graph_table(batch)
+            pointers = np.flatnonzero(
+                np.asarray(table.param_kinds) == POINTER_CODE)
+            if not pointers.size:
+                raise InvalidValueError(
+                    "graph has no pointer-restore parameters to corrupt")
+            position = int(pointers[-1])
+            offsets = np.array(table.param_byte_offsets, copy=True)
+            offsets[position] = _CORRUPT_OFFSET
+            corrupted = copy.copy(table)
+            corrupted.param_byte_offsets = offsets
+            tables[batch] = corrupted
+            node_index = int(np.searchsorted(table.param_offsets, position,
+                                             side="right")) - 1
+            self._record_corruption(
+                batch, node_index,
+                position - int(table.param_offsets[node_index]))
+        return tables
+
+    def _record_corruption(self, batch_size: int, node_index: int,
+                           param_index: int) -> None:
+        self.record("store.load",
+                    f"corrupted batch-{batch_size} graph node {node_index} "
+                    f"param {param_index} (offset pushed out of bounds)")
+
+    def replay_fault_positions(self) -> List[int]:
+        """Replay-event positions a REPLAY_OOM or REPLAY_DIVERGENCE fault
+        pins, ascending: where the restorer must stop its batch replay and
+        hand the event to :meth:`on_replay_event`."""
+        return sorted({fault.event_index for fault in self._faults(
+            FaultKind.REPLAY_OOM, FaultKind.REPLAY_DIVERGENCE)
+            if fault.event_index is not None})
 
     def on_replay_event(self, position: int,
                         event: ReplayEvent) -> ReplayEvent:
-        """Called per replayed event; may perturb it or raise OOM."""
+        """Called at a pinned replay event; may perturb it or raise OOM."""
         for fault in self._faults(FaultKind.REPLAY_OOM):
             if fault.event_index == position:
                 self.record("replay.event",

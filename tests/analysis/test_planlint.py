@@ -328,31 +328,25 @@ class TestRegistrySync:
         assert set(LADDER_ACTION_EFFECTS) == set(LADDER_STAGES)
 
     def test_online_restorer_names_match_runtime(self, tiny2l_artifact):
-        from repro.core.online import (
-            OnlineRestorer,
-            prepare_medusa_cold_start,
-        )
-        assert set(OnlineRestorer.STAGE_ACTION_NAMES) \
-            <= set(RESTORE_ACTION_EFFECTS)
+        from repro.core.fastpath import MONOLITHIC_ACTIONS
+        from repro.core.online import prepare_medusa_cold_start
+        assert set(MONOLITHIC_ACTIONS) <= set(RESTORE_ACTION_EFFECTS)
         artifact, _ = tiny2l_artifact
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model())
-        assert set(restorer.stage_actions(engine)) \
-            == set(OnlineRestorer.STAGE_ACTION_NAMES)
+        assert restorer.stage_action_names() == MONOLITHIC_ACTIONS
+        assert set(restorer.stage_actions(engine)) == set(MONOLITHIC_ACTIONS)
 
     def test_ladder_restorer_names_match_runtime(self, tiny2l_artifact):
-        from repro.core.online import (
-            OnlineRestorer,
-            prepare_medusa_cold_start,
-        )
+        from repro.core.fastpath import MONOLITHIC_ACTIONS
+        from repro.core.online import prepare_medusa_cold_start
         from repro.faults import DegradationPolicy
         artifact, _ = tiny2l_artifact
         engine, restorer = prepare_medusa_cold_start(
             "Tiny-2L", artifact, mode=ExecutionMode.COMPUTE,
             cost_model=tiny_cost_model(), policy=DegradationPolicy())
-        assert set(restorer.stage_actions(engine)) \
-            == set(OnlineRestorer.STAGE_ACTION_NAMES)
+        assert set(restorer.stage_actions(engine)) == set(MONOLITHIC_ACTIONS)
 
     def test_vectorized_restorer_names_match_runtime(self, tiny2l_artifact,
                                                      tmp_path):

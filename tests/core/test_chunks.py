@@ -137,14 +137,6 @@ class TestChunkedLazyArtifact:
 
 
 class TestStoreChunking:
-    def test_parallel_get_equals_serial(self, tiny2l, tmp_path):
-        serial = ArtifactStore(tmp_path / "s", cache_size=0)
-        serial.put(tiny2l)
-        parallel = ArtifactStore(tmp_path / "s", cache_size=0,
-                                 parallel_workers=4)
-        key = (tiny2l.gpu_name, tiny2l.model_name)
-        assert serial.get(*key).to_json() == parallel.get(*key).to_json()
-
     def test_sibling_model_dedups_every_chunk(self, tiny2l, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         store.put(tiny2l)

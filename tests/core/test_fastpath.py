@@ -1,15 +1,13 @@
-"""Vectorized fast-path restoration tests (pipelined LoadPlan + gather)."""
+"""Restorer tests: plan choice by artifact form, the pipelined LoadPlan,
+the pointer gather and the batch allocation replay."""
 
 import numpy as np
 import pytest
 
 from repro.core.binfmt import LazyArtifact, save_binary
 from repro.core.fastpath import PackedParams, VectorizedRestorer
-from repro.core.online import (
-    OnlineRestorer,
-    medusa_cold_start,
-    prepare_medusa_cold_start,
-)
+from repro.core.online import medusa_cold_start, prepare_medusa_cold_start
+from repro.core.store import ArtifactStore
 from repro.engine.loadplan import restore_graph_stage
 from repro.errors import RestorationError
 from repro.faults import (
@@ -51,55 +49,65 @@ class TestFastPathCorrectness:
         assert_serves_correctly(engine, artifact)
 
     def test_verify_dumps_vectorized(self, tiny2l_npz):
-        engine, _ = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(tiny2l_npz), seed=7,
-            mode=ExecutionMode.COMPUTE, cost_model=tiny_cost_model())
-        restorer = VectorizedRestorer(LazyArtifact(tiny2l_npz),
-                                      verify_dumps=True)
-        report = engine.cold_start(restorer=restorer)
+        engine, report = fast_cold_start(
+            tiny2l_npz, mode=ExecutionMode.COMPUTE,
+            policy=DegradationPolicy(verify_dumps=True))
         assert report.timeline.plan == "medusa-pipelined"
+        assert report.degradation is None
         assert engine.capture_artifacts.execs
 
-    def test_rejects_eager_artifact(self, tiny2l_artifact):
-        artifact, _ = tiny2l_artifact
-        with pytest.raises(RestorationError):
-            VectorizedRestorer(artifact)
+
+@pytest.fixture
+def artifact_forms(tiny2l_artifact, tiny2l_npz, tmp_path):
+    """(plan the form restores under, opener) for every artifact form."""
+    artifact, _ = tiny2l_artifact
+    store = ArtifactStore(tmp_path / "store")
+    store.put(artifact)
+    return [
+        ("medusa", lambda: artifact),
+        ("medusa-pipelined", lambda: LazyArtifact(tiny2l_npz)),
+        ("medusa-chunked",
+         lambda: store.get_lazy(artifact.gpu_name, artifact.model_name)),
+    ]
 
 
 class TestPathSelection:
+    """One restorer; the artifact's form alone picks the plan."""
+
     def test_lazy_artifact_auto_routes_to_fast_path(self, tiny2l_npz):
-        _engine, restorer = prepare_medusa_cold_start(
+        engine, restorer = prepare_medusa_cold_start(
             MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model())
         assert isinstance(restorer, VectorizedRestorer)
+        assert engine.plan.name == "medusa-pipelined"
 
-    def test_eager_artifact_stays_on_object_path(self, tiny2l_artifact):
+    def test_eager_artifact_gets_monolithic_plan(self, tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        _engine, restorer = prepare_medusa_cold_start(
+        engine, restorer = prepare_medusa_cold_start(
             artifact.model_name, artifact, cost_model=tiny_cost_model())
-        assert isinstance(restorer, OnlineRestorer)
+        assert isinstance(restorer, VectorizedRestorer)
+        assert engine.plan.name == "medusa"
 
-    def test_fast_requires_lazy_artifact(self, tiny2l_artifact):
+    def test_policy_keeps_the_plan(self, artifact_forms):
+        for plan_name, open_artifact in artifact_forms:
+            engine, _ = prepare_medusa_cold_start(
+                MODEL, open_artifact(), cost_model=tiny_cost_model(),
+                policy=DegradationPolicy())
+            assert engine.plan.name == plan_name
+
+    def test_chaos_run_keeps_the_plan_and_degrades(self, artifact_forms,
+                                                   tiny2l_artifact):
         artifact, _ = tiny2l_artifact
-        with pytest.raises(RestorationError):
-            prepare_medusa_cold_start(artifact.model_name, artifact,
-                                      cost_model=tiny_cost_model(),
-                                      fast=True)
-
-    def test_policy_falls_back_to_object_path(self, tiny2l_npz):
-        _engine, restorer = prepare_medusa_cold_start(
-            MODEL, LazyArtifact(tiny2l_npz), cost_model=tiny_cost_model(),
-            policy=DegradationPolicy())
-        assert isinstance(restorer, OnlineRestorer)
-
-    def test_chaos_run_falls_back_and_degrades(self, tiny2l_npz):
-        spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
-        injector = FaultInjector(FaultPlan(seed=11, faults=(spec,)))
-        engine, report = fast_cold_start(
-            tiny2l_npz, mode=ExecutionMode.COMPUTE, injector=injector,
-            policy=DegradationPolicy())
-        assert injector.fired
-        assert report.timeline.plan != "medusa-pipelined"
-        assert engine.capture_artifacts is not None
+        for plan_name, open_artifact in artifact_forms:
+            spec = FaultSpec(kind=FaultKind.ARTIFACT_CORRUPTION)
+            injector = FaultInjector(FaultPlan(seed=11, faults=(spec,)))
+            engine, report = medusa_cold_start(
+                MODEL, open_artifact(), seed=7, mode=ExecutionMode.COMPUTE,
+                cost_model=tiny_cost_model(), injector=injector,
+                policy=DegradationPolicy())
+            assert injector.fired
+            assert engine.plan.name == plan_name
+            assert report.degradation.degraded
+            assert_serves_correctly(engine, artifact)
 
 
 class _SequentialRestorer(VectorizedRestorer):

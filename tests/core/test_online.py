@@ -8,7 +8,7 @@ eager forwarding bit-for-bit.
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineRestorer, medusa_cold_start
+from repro.core.online import medusa_cold_start
 from repro.core.validation import make_input_ids, validate_restoration
 from repro.engine import LLMEngine, Strategy
 from repro.errors import RestorationError

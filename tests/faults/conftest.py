@@ -14,12 +14,28 @@ import os
 import numpy as np
 import pytest
 
+from repro.core.store import ArtifactStore
 from repro.core.validation import make_input_ids
 
 
 @pytest.fixture(scope="session")
 def chaos_seed() -> int:
     return int(os.environ.get("MEDUSA_CHAOS_SEED", "7"))
+
+
+@pytest.fixture(scope="session")
+def tiny2l_store(tmp_path_factory, tiny2l_artifact) -> ArtifactStore:
+    """A chunk store holding the Tiny-2L artifact; each ``get_lazy`` on it
+    opens a fresh chunk-backed artifact (the ``medusa-chunked`` form)."""
+    artifact, _ = tiny2l_artifact
+    store = ArtifactStore(tmp_path_factory.mktemp("chaos") / "store")
+    store.put(artifact)
+    return store
+
+
+def chunked(store: ArtifactStore, artifact):
+    """A fresh chunk-backed view of ``artifact`` from ``store``."""
+    return store.get_lazy(artifact.gpu_name, artifact.model_name)
 
 
 def assert_serves_correctly(engine, artifact) -> None:

@@ -55,3 +55,41 @@ class TestOfflinePins:
         assert 5.0 < report.capture_stage_time < 20.0    # paper: ~9.7 avg
         assert 20.0 < report.analysis_time < 45.0
         assert report.total_time < 60.0                  # paper: < 1 minute
+
+#: Simulated seconds of one eager-artifact restore (the monolithic
+#: ``medusa`` plan) per tiny model: (ready time, per-stage durations).  Any
+#: reordered or regrouped clock advance in the restorer changes a last bit.
+EAGER_RESTORE_PINS = {
+    "Tiny-2L": (0.4189970193626838, {
+        "structure_init": 0.3011609833472,
+        "load_weights": 0.0008225882352941305,
+        "load_tokenizer": 0.060255999999999976,
+        "kv_init": 0.020089999999999997,
+        "medusa_warmup": 0.04617603601548381,
+        "medusa_restore": 0.051570000000000005,
+    }),
+    "Tiny-4L": (0.4261538294300905, {
+        "structure_init": 0.30464393338879997,
+        "load_weights": 0.003289976470587652,
+        "load_tokenizer": 0.06051200000000001,
+        "kv_init": 0.020165000000000044,
+        "medusa_warmup": 0.047191896041290426,
+        "medusa_restore": 0.05415300000000006,
+    }),
+}
+
+
+class TestEagerRestorePins:
+    @pytest.mark.parametrize("model", sorted(EAGER_RESTORE_PINS))
+    def test_simulated_times_are_exact(self, model, tiny2l_artifact,
+                                       tiny4l_artifact):
+        from repro.core.online import medusa_cold_start
+        from tests.conftest import tiny_cost_model
+        artifact, _ = {"Tiny-2L": tiny2l_artifact,
+                       "Tiny-4L": tiny4l_artifact}[model]
+        _, report = medusa_cold_start(model, artifact, seed=21,
+                                      cost_model=tiny_cost_model())
+        ready, stages = EAGER_RESTORE_PINS[model]
+        assert report.timeline.plan == "medusa"
+        assert report.stage_durations == stages
+        assert report.ready_time == ready

@@ -68,6 +68,24 @@ class TestUsageErrors:
         assert args.slo_ttft == 0.0
 
 
+class TestUnreadableArtifact:
+    """A missing artifact is one ``error:`` line and exit 2 on every
+    subcommand that reads one, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["coldstart", "--model", "Tiny-2L", "--strategy", "medusa",
+         "--artifact"],
+        ["restore", "--model", "Tiny-2L", "--artifact"],
+        ["validate", "--artifact"],
+    ], ids=["coldstart", "restore", "validate"])
+    def test_missing_artifact_exits_two(self, argv, tmp_path, capsys):
+        assert main(argv + [str(tmp_path / "missing.npz")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"error: no binary artifact at {tmp_path / 'missing.npz'}"]
+
+
 class TestCommands:
     def test_models_lists_ten(self, capsys):
         assert main(["models"]) == 0
