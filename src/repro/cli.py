@@ -18,9 +18,10 @@ commands open them lazily (:class:`repro.core.binfmt.LazyArtifact`),
 which puts ``coldstart --strategy medusa``/``restore``/``validate`` on
 the pipelined vectorized fast path.
 
-Malformed arguments (an unknown strategy, a non-positive ``--rps``,
-``--duration`` or ``--gpus``, a negative ``--slo-ttft``) are usage
-errors: argparse prints the usage and a one-line error and exits 2.
+Malformed arguments (a ``--model`` missing from the zoo, an unknown
+strategy, a non-positive ``--rps``, ``--duration`` or ``--gpus``, a
+negative ``--slo-ttft``) are usage errors: argparse prints the usage and
+a one-line error and exits 2.
 
 ``lint``, ``lint-plan``, and ``validate`` share the CI-friendly
 exit-code convention:
@@ -29,7 +30,10 @@ artifact could not be read at all.  With ``validate --degraded-ok`` a
 restore that walked the degradation ladder but still serves correct
 outputs exits 3 — distinguishable from both a clean pass and a hard
 failure.  An unreadable artifact exits 2 with a one-line ``error:``
-message on every subcommand (:func:`main` handles it once).
+message on every subcommand, and any other library error a run raises
+(e.g. restoring an artifact built for a different model) exits 1 with
+one ``error:`` line; :func:`main` handles both once.  Anything else is a
+bug and propagates as a traceback.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.core.offline import run_offline
 from repro.core.online import cold_start_for
 from repro.core.validation import validate_restoration
 from repro.engine import Strategy
-from repro.errors import ArtifactError
+from repro.errors import ArtifactError, ReproError
 from repro.models.zoo import PAPER_MODELS, get_model_config
 from repro.reporting import format_stage_breakdown, format_table
 from repro.serverless import (
@@ -74,6 +78,15 @@ def _strategy(name: str) -> Strategy:
             f"unknown strategy {name!r}; choose from "
             f"{', '.join(_STRATEGY_NAMES)}")
     return strategy
+
+
+def _model(name: str) -> str:
+    """A model name from the zoo, or the usage error naming the zoo."""
+    try:
+        get_model_config(name)
+    except ReproError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return name
 
 
 def _number(text: str, kind, check, requirement: str):
@@ -123,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("models", help="list the model zoo (Table 1)")
 
     cold = sub.add_parser("coldstart", help="run one cold start")
-    cold.add_argument("--model", required=True)
+    cold.add_argument("--model", type=_model, required=True)
     cold.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
     cold.add_argument("--artifact", help="Medusa artifact path "
                                          "(required for --strategy medusa)")
@@ -132,12 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
     save_tensor = sub.add_parser(
         "save-tensor", help="write a model's weights to disk "
                             "(the artifact's --save_tensor step)")
-    save_tensor.add_argument("--model", required=True)
+    save_tensor.add_argument("--model", type=_model, required=True)
     save_tensor.add_argument("--dir", required=True,
                              help="checkpoint directory")
 
     offline = sub.add_parser("offline", help="materialize a model (offline phase)")
-    offline.add_argument("--model", required=True)
+    offline.add_argument("--model", type=_model, required=True)
     offline.add_argument("--output", required=True,
                          help="artifact JSON output path")
     offline.add_argument("--seed", type=int, default=0)
@@ -163,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="full restore + output validation of an artifact")
     validate.add_argument("--artifact", required=True)
-    validate.add_argument("--model",
+    validate.add_argument("--model", type=_model,
                           help="engine model (default: the artifact's)")
     validate.add_argument("--json", action="store_true",
                           help="emit the result as JSON")
@@ -174,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "lower rung instead of failing with 1")
 
     restore = sub.add_parser("restore", help="Medusa online cold start")
-    restore.add_argument("--model", required=True)
+    restore.add_argument("--model", type=_model, required=True)
     restore.add_argument("--artifact", required=True)
     restore.add_argument("--validate", action="store_true",
                          help="also run cross-process output validation "
@@ -182,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--seed", type=int, default=0)
 
     simulate = sub.add_parser("simulate", help="serverless trace simulation")
-    simulate.add_argument("--model", required=True)
+    simulate.add_argument("--model", type=_model, required=True)
     simulate.add_argument("--strategy", type=_strategy, default=Strategy.VLLM)
     simulate.add_argument("--rps", type=_positive_float, default=2.0)
     simulate.add_argument("--duration", type=_positive_float, default=300.0)
@@ -496,6 +509,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArtifactError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

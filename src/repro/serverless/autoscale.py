@@ -1,13 +1,12 @@
-"""Pluggable autoscaling policies for the cluster simulators.
+"""Pluggable autoscaling policies for the serverless GPU pool.
 
-The simulators used to hard-code one scale-down rule: a fixed
-``keep_alive`` idle window evaluated only when a serving step completed
-(``serverless/pool.py``).  This module turns that inline branch into a
-policy layer — :class:`AutoscalePolicy` exposes the four decision points
-the pool consults (``on_arrival``, ``on_stage_boundary``,
-``on_idle_tick``, ``target_instances`` plus the ``should_retire`` /
-``idle_check_delay`` retirement pair), and four concrete policies cover
-the design space the serverless literature argues about:
+The pool (``serverless/cluster.py``) delegates every scale-down and
+scale-up decision to this policy layer — :class:`AutoscalePolicy`
+exposes the four decision points the pool consults (``on_arrival``,
+``on_stage_boundary``, ``on_idle_tick``, ``target_instances`` plus the
+``should_retire`` / ``idle_check_delay`` retirement pair), and four
+concrete policies cover the design space the serverless literature
+argues about:
 
 - :class:`KeepAlivePolicy` — the fixed idle window, bit-identical to the
   pre-policy simulators (the 8 golden snapshots pin it);
@@ -284,7 +283,7 @@ class TargetQueueDelayPolicy(_WindowedRetirePolicy):
     def predicted_delay(self, pool, model: Optional[str],
                         now: float) -> float:
         """Estimated queueing delay for the scope's next admission."""
-        live = pool._scope_live(model)
+        live = pool._live_instances(model)
         if not live:
             return 0.0
         ready = [inst for inst in live if now >= inst.ready_at]
@@ -297,7 +296,7 @@ class TargetQueueDelayPolicy(_WindowedRetirePolicy):
     def target_instances(self, pool, model: Optional[str],
                          now: float) -> int:
         """One extra instance whenever the predicted delay breaches SLO."""
-        live = pool._scope_live(model)
+        live = pool._live_instances(model)
         if not live:
             return 0
         if self.predicted_delay(pool, model, now) > self.slo_ttft:

@@ -4,7 +4,8 @@ Each scenario is one deterministic, fully-configured simulation run
 (fixed seeds, fixed shapes, fixed policies) that exercises a distinct
 slice of the serverless stack: bursty single-model autoscaling,
 multi-model pool contention, scale-from-zero spikes, chunk-level sibling
-warmth, the degradation ladder, and locality-vs-flat placement.  A
+warmth, the degradation ladder, locality-vs-flat placement, startup
+aborts above a warm floor, and tensor-parallel cold-start preemption.  A
 scenario returns a dict of named sections, each a metrics ``summary()``
 dict; ``tests/integration/golden_scenarios.json`` pins every scalar
 bit-exactly (JSON round-trips floats exactly).
@@ -215,6 +216,59 @@ def locality_vs_flat() -> Sections:
     return sections
 
 
+def abort_warm_floor() -> Sections:
+    """Startup aborts above a warm floor under affinity placement.
+
+    One instance is provisioned warm at t=0 (``initial_instances=1``,
+    the retirement floor); Poisson arrivals at ``max_running=2`` launch
+    stage-granular cold starts, and whenever ready capacity frees up
+    before a cold start finishes, ``abort_cold_starts`` cancels it at the
+    next stage boundary and re-routes its queue.  Affinity placement
+    re-lands the repeated cold starts on nodes caching the artifact.
+    """
+    workload = ShareGPTWorkload(rps=3.0, duration=120.0, seed=81)
+    simulator = ClusterSimulator(
+        ServingCostModel("Qwen1.5-4B"),
+        SimulationConfig(num_gpus=4, profile=_fetch_profile(2.0),
+                         cold_start_latency=2.8, placement="affinity",
+                         abort_cold_starts=True, initial_instances=1,
+                         max_running=2, keep_alive=1.0, slo_ttft=1.0))
+    metrics = simulator.run(workload.generate(), horizon=120.0)
+    return {"metrics": metrics.summary()}
+
+
+def tp_preemption() -> Sections:
+    """A zero-capacity model preempts a tensor-parallel cold start.
+
+    ``big`` spans two GPUs per instance; its bursts fill the 4-GPU pool
+    with two instances, one still cold-starting, when ``small`` has no
+    instance left.  The pool cancels the ``big`` cold start at its next
+    stage boundary, re-routes its queue onto the surviving ``big``
+    instance, and launches ``small`` on the freed GPUs.
+    """
+    deployments = [
+        ModelDeployment(name="big", costs=ServingCostModel("Llama2-13B"),
+                        cold_start_latency=3.8, profile=_fetch_profile(3.0),
+                        gpus_per_instance=2, max_running=4),
+        ModelDeployment(name="small", costs=ServingCostModel("Qwen1.5-4B"),
+                        cold_start_latency=1.8, profile=_fetch_profile(1.0),
+                        max_running=4),
+    ]
+    cluster = MultiModelCluster(deployments, num_gpus=4,
+                                placement="locality", keep_alive=1.0,
+                                slo_ttft=1.0)
+    workloads = {
+        "big": ShareGPTWorkload(rps=1.5, duration=90.0, seed=91,
+                                shape="burst"),
+        "small": ShareGPTWorkload(rps=1.5, duration=90.0, seed=92),
+    }
+    per_model = cluster.run(tag_workloads(workloads), horizon=90.0)
+    sections = {model: metrics.summary()
+                for model, metrics in sorted(per_model.items())}
+    sections["__aggregate__"] = cluster.aggregate().summary()
+    return sections
+
+
 #: Every named scenario, in documentation order.
 SCENARIOS: Dict[str, Callable[[], Sections]] = {
     "single_model_burst": single_model_burst,
@@ -223,6 +277,8 @@ SCENARIOS: Dict[str, Callable[[], Sections]] = {
     "chunk_warm_sibling": chunk_warm_sibling,
     "degraded_ladder": degraded_ladder,
     "locality_vs_flat": locality_vs_flat,
+    "abort_warm_floor": abort_warm_floor,
+    "tp_preemption": tp_preemption,
 }
 
 

@@ -155,12 +155,12 @@ class TestColdCostAwarePolicy:
 
 
 class _FakePool:
-    """A pool stub exposing only ``_scope_live``."""
+    """A pool stub exposing only ``_live_instances``."""
 
     def __init__(self, instances):
         self._instances = instances
 
-    def _scope_live(self, model):
+    def _live_instances(self, model):
         return self._instances
 
 
@@ -207,7 +207,7 @@ def _first_idle_window(policy_name):
         num_gpus=2, cold_start_latency=1.0, placement="flat",
         autoscale=policy_name))
     simulator.run([_request(0, 0.0)], horizon=30.0)
-    instance = simulator.instances[0]
+    instance = simulator.instances[simulator.model][0]
     policy = make_autoscaler(policy_name)
     window = policy._window(simulator, instance, instance.last_busy_at)
     return instance.last_busy_at, window
@@ -216,7 +216,7 @@ def _first_idle_window(policy_name):
 class TestEqualTimestampTieBreak:
     """Arrival-before-retire at the exact window-expiry instant.
 
-    ``pool.py`` used to evaluate ``now - last_busy_at >= keep_alive``
+    The pool used to evaluate ``now - last_busy_at >= keep_alive``
     only inside step-done handling; with idle ticks enforcing windows,
     a request arriving at exactly the expiry time races the tick.  The
     kernel's ``(time, priority, seq)`` order settles it: ARRIVAL
@@ -238,7 +238,7 @@ class TestEqualTimestampTieBreak:
         # same instance, so no second cold start happened.
         assert metrics.cold_starts == 1
         assert len(metrics.ttfts) == 2
-        instance = simulator.instances[0]
+        instance = simulator.instances[simulator.model][0]
         assert getattr(instance, "retired_at", expiry) > expiry
 
     def test_arrival_after_expiry_finds_the_instance_retired(self):
@@ -290,3 +290,37 @@ class TestPolicyDecisionAccounting:
         assert policy.should_retire(None, None, 0.0) is False
         assert policy.idle_check_delay(None, None, 0.0) is None
         assert policy.target_instances(None, None, 0.0) == 0
+
+
+class TestWarmFloor:
+    @pytest.mark.parametrize("policy_name", ["histogram", "cold-cost",
+                                             "queue-slo"])
+    def test_windowed_policy_leaves_the_floor_instance_alone(
+            self, policy_name, monkeypatch):
+        """An expired window on a floor instance arms no further ticks.
+
+        The warm initial instance's window expires while it is the only
+        live instance; retiring it would break the floor.  Re-arming a
+        tick for an already-expired window fires at the same instant
+        forever, so the run must finish with a bounded tick count.
+        """
+        from repro.serverless.cluster import MultiModelCluster
+
+        armed = []
+        original = MultiModelCluster._schedule_idle_tick
+
+        def counted(self, policy, instance, now):
+            armed.append(now)
+            assert len(armed) < 100, "idle ticks re-armed without end"
+            original(self, policy, instance, now)
+
+        monkeypatch.setattr(MultiModelCluster, "_schedule_idle_tick",
+                            counted)
+        simulator = ClusterSimulator(_COSTS, SimulationConfig(
+            num_gpus=2, initial_instances=1, placement="flat",
+            autoscale=policy_name))
+        metrics = simulator.run([_request(0, 0.0)], horizon=10.0)
+        assert metrics.completed == 1
+        assert metrics.cold_starts == 0
+        (floor,) = simulator.instances[simulator.model]
+        assert not floor.retired

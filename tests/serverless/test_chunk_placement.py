@@ -59,7 +59,7 @@ def launch(policy, chunks, costs):
     config = SimulationConfig(num_gpus=1, profile=chunk_profile(),
                               placement=policy, chunks=chunks)
     simulator = ClusterSimulator(costs, config)
-    instance = simulator._launch_instance(0.0)
+    instance = simulator._launch(simulator.model, 0.0)
     return simulator, instance
 
 
@@ -72,7 +72,7 @@ class TestChunkStreamResolution:
     def test_cold_node_fetches_every_foreground_byte(self, costs):
         simulator, _ = launch(LocalityPlacement(num_nodes=1), CHUNKS_A,
                               costs)
-        metrics = simulator.metrics
+        metrics = simulator.metrics[simulator.model]
         assert metrics.chunk_hits == 0
         assert metrics.bytes_deduped == 0.0
         assert metrics.fetch_bytes_foreground == pytest.approx(1000.0)
@@ -82,13 +82,14 @@ class TestChunkStreamResolution:
         simulator_a, instance_a = launch(policy, CHUNKS_A, costs)
         simulator_b, instance_b = launch(policy, CHUNKS_B, costs)
 
-        warm = simulator_b.metrics
+        warm = simulator_b.metrics[simulator_b.model]
         assert warm.chunk_hits == 2
         assert warm.bytes_deduped == pytest.approx(900.0)
         # Only the sibling's private chunk moves in the foreground.
         assert warm.fetch_bytes_foreground == pytest.approx(100.0)
         assert warm.fetch_bytes_foreground \
-            <= 0.7 * simulator_a.metrics.fetch_bytes_foreground
+            <= 0.7 * simulator_a.metrics[simulator_a.model] \
+            .fetch_bytes_foreground
         # The cache hits make the warm cold start strictly faster.
         fetch_a = instance_a.profile.timeline.stage(
             "fetch_artifact").duration
@@ -133,7 +134,7 @@ class TestChunkStreamResolution:
         simulator, instance = launch(FlatPlacement(num_nodes=1), CHUNKS_A,
                                      costs)
         assert instance.fetch_tier == ""
-        metrics = simulator.metrics
+        metrics = simulator.metrics[simulator.model]
         assert metrics.chunk_hits == 0
         assert metrics.fetch_bytes_foreground == 0.0
         report = metrics.summary()

@@ -10,6 +10,7 @@ from repro.serverless.cluster import (
     tag_workloads,
 )
 from repro.serverless.costs import ServingCostModel
+from repro.serverless.simulator import ClusterSimulator, SimulationConfig
 from repro.serverless.workload import Request, ShareGPTWorkload
 
 
@@ -30,6 +31,28 @@ class TestTagging:
         times = [t.request.arrival_time for t in tagged]
         assert times == sorted(times)
         assert {t.model for t in tagged} == {"a", "b"}
+
+
+class TestDeploymentValidation:
+    """Bad deployment values fail at construction, not deep in a run
+    (``max_running=0`` used to hang the simulation forever)."""
+
+    BAD_VALUES = [("max_running", 0), ("hot_spares", -1),
+                  ("initial_instances", -1), ("cold_start_latency", -0.5)]
+
+    @pytest.mark.parametrize("field, value",
+                             BAD_VALUES + [("gpus_per_instance", 0)])
+    def test_deployment_rejects(self, field, value):
+        values = {"cold_start_latency": 1.0, field: value}
+        with pytest.raises(InvalidValueError, match=field):
+            ModelDeployment(name="m", costs=ServingCostModel("Llama2-7B"),
+                            **values)
+
+    @pytest.mark.parametrize("field, value", BAD_VALUES)
+    def test_single_model_simulator_rejects(self, field, value):
+        config = SimulationConfig(**{field: value})
+        with pytest.raises(InvalidValueError, match=field):
+            ClusterSimulator(ServingCostModel("Llama2-7B"), config)
 
 
 class TestClusterValidation:

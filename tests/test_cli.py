@@ -22,8 +22,8 @@ class TestParser:
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["coldstart", "--model", "X", "--strategy", "warp-drive"])
+            build_parser().parse_args(["coldstart", "--model", "Tiny-2L",
+                                       "--strategy", "warp-drive"])
 
     def test_missing_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -51,6 +51,9 @@ class TestUsageErrors:
         ["validate", "--artifact", "a.json", "--seed", "x"],
         ["restore", "--model", "Tiny-2L", "--artifact", "a.json",
          "--seed", "x"],
+        ["coldstart", "--model", "NoSuchModel"],
+        ["simulate", "--model", "NoSuchModel"],
+        ["validate", "--artifact", "a.json", "--model", "NoSuchModel"],
     ])
     def test_exits_two_with_one_line_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -84,6 +87,30 @@ class TestUnreadableArtifact:
         assert "Traceback" not in err
         assert err.splitlines() == [
             f"error: no binary artifact at {tmp_path / 'missing.npz'}"]
+
+
+class TestRunErrors:
+    """A library error raised by a run is one ``error:`` line and exit 1;
+    anything else is a bug and keeps its traceback."""
+
+    def test_artifact_for_another_model_exits_one(self, tiny_artifact_path,
+                                                   capsys):
+        assert main(["restore", "--model", "Tiny-4L",
+                     "--artifact", tiny_artifact_path]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            "error: artifact is for Tiny-2L, engine wants Tiny-4L"]
+
+    def test_non_library_error_propagates(self, monkeypatch):
+        from repro import cli
+
+        def broken(_args):
+            raise RuntimeError("a bug, not bad input")
+
+        monkeypatch.setitem(cli._COMMANDS, "models", broken)
+        with pytest.raises(RuntimeError, match="a bug"):
+            main(["models"])
 
 
 class TestCommands:
