@@ -26,6 +26,7 @@ before readiness before step completions before idle ticks).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +35,7 @@ from repro.serverless.autoscale import AutoscalePolicy, make_autoscaler
 from repro.serverless.costs import ServingCostModel
 from repro.serverless.instance import (
     ColdStartProfile,
+    DecodeRun,
     Instance,
     InstanceConfig,
 )
@@ -404,6 +406,7 @@ class MultiModelCluster:
     def _begin_run(self, horizon: float) -> None:
         """Build a fresh event loop with the pool's handlers registered."""
         self.horizon = horizon
+        self._instance_ids = itertools.count()
         loop = EventLoop()
         loop.on(ARRIVAL, self._on_arrival, priority=0)
         loop.on(COLD_STAGE_DONE, self._on_cold_stage_done, priority=1)
@@ -466,7 +469,8 @@ class MultiModelCluster:
             launched_at=now,
             cold_start_latency=latency,
             profile=profile,
-            model_name=model)
+            model_name=model,
+            instance_id=next(self._instance_ids))
         instance.hot_spare = hot_spare
         instance.node_ids = node_ids
         self.instances[model].append(instance)
@@ -539,6 +543,8 @@ class MultiModelCluster:
             # free a GPU (an idle instance, else a preemptable cold start).
             target = self._launch_when_possible(model, now)
         target.enqueue(tagged.request)
+        if target.run_event is not None:
+            self._cut_run(target, now)
         self._maybe_step(target, now)
 
     def _launch_when_possible(self, model: str, now: float) -> Instance:
@@ -722,32 +728,51 @@ class MultiModelCluster:
                 self.loop.now)
 
     def _on_step_done(self, event) -> None:
-        """Record one serving iteration's TTFTs/completions; continue."""
+        """Record one step event's TTFTs/completions; continue."""
         instance, result = event.payload
         now = self.loop.now
         instance.stepping = False
-        metrics = self.metrics[instance.model_name]
-        for request, ttft in result.ttfts:
-            metrics.record_ttft(
-                ttft, cold_tax=self._cold_tax(instance, request, ttft))
-        for completion in result.completed:
-            metrics.record_completion(
-                completion.latency,
-                in_horizon=completion.completion_time <= self.horizon)
-        if result.background_contention > 0:
-            metrics.record_background_contention(
-                result.background_contention)
+        if isinstance(result, DecodeRun):
+            # Pure decode: nothing to record but the span.
+            instance.finish_run(result)
+            instance.run_event = None
+            self.loop.trace.span(
+                "serve_step", result.start, now, track=_track(instance),
+                admitted=0, completed=0, contended=False,
+                steps=result.steps)
+        else:
+            metrics = self.metrics[instance.model_name]
+            for request, ttft in result.ttfts:
+                metrics.record_ttft(
+                    ttft, cold_tax=self._cold_tax(instance, request, ttft))
+            for completion in result.completed:
+                metrics.record_completion(
+                    completion.latency,
+                    in_horizon=completion.completion_time <= self.horizon)
+            if result.background_contention > 0:
+                metrics.record_background_contention(
+                    result.background_contention)
         self._maybe_step(instance, now)
         self._maybe_retire(instance, now)
 
     # -- serving / retirement -------------------------------------------------
 
     def _maybe_step(self, instance: Instance, now: float) -> None:
-        """Start one continuous-batching iteration if the instance can."""
+        """Start the instance's next step event if it can serve.
+
+        The event is a decode run when the next iterations are pure
+        decode (see :meth:`Instance.decode_run`), else one ordinary
+        continuous-batching iteration.
+        """
         if (instance.stepping or instance.retired
                 or now < instance.ready_at or not instance.has_work):
             return
         instance.stepping = True
+        run = instance.decode_run(now)
+        if run is not None:
+            instance.run_event = self.loop.schedule(run.end, STEP_DONE,
+                                                    (instance, run))
+            return
         result = instance.run_step(now)
         self.loop.schedule(now + result.duration, STEP_DONE,
                            (instance, result))
@@ -755,7 +780,28 @@ class MultiModelCluster:
             "serve_step", now, now + result.duration,
             track=_track(instance), admitted=len(result.ttfts),
             completed=len(result.completed),
-            contended=result.background_contention > 0)
+            contended=result.background_contention > 0, steps=1)
+
+    def _cut_run(self, instance: Instance, now: float) -> None:
+        """End ``instance``'s decode run where a request just routed onto
+        it gets admitted: the first iteration boundary at or after
+        ``now``.  A full batch admits nothing until a completion, which
+        the run already stops before, so it runs on uncut.
+
+        Keeping an iteration that ends exactly at ``now`` (``bisect_left``)
+        relies on every route at ``t`` dispatching before any STEP_DONE
+        at ``t``: routes start only from ARRIVAL and COLD_STAGE_DONE
+        handlers, which :meth:`_begin_run` ranks ahead of STEP_DONE.  A
+        route started from a step-done or idle-tick handler would admit
+        its request one iteration earlier than single-stepping does.
+        """
+        if len(instance.running) >= instance.config.max_running:
+            return
+        run = instance.run_event.payload[1]
+        if run.cut(now):
+            self.loop.cancel(instance.run_event)
+            instance.run_event = self.loop.schedule(run.end, STEP_DONE,
+                                                    (instance, run))
 
     def _maybe_retire(self, instance: Instance, now: float) -> None:
         """Retire an idle instance once its policy's window expires.

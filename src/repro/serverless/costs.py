@@ -12,6 +12,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
+import numpy as np
+
 from repro.engine.strategies import Strategy
 from repro.models.config import ModelConfig
 from repro.models.zoo import get_model_config
@@ -55,22 +57,46 @@ class ServingCostModel:
         return cm.eager_step_time(self.config.param_bytes, prompt_tokens,
                                   kernels)
 
-    def decode_step_time(self, batch_size: int, avg_context: float,
-                         use_graphs: bool) -> float:
-        """One decode iteration over ``batch_size`` running sequences."""
+    def _decode_fixed(self, batch_size: int,
+                      use_graphs: bool) -> Tuple[float, float]:
+        """(compute seconds, launch overhead) of one decode iteration: the
+        parts that do not depend on the context length."""
         cm = self.cost_model
-        gpu = self.cost_model.gpu
         effective_batch = self.padded_batch(batch_size) if use_graphs \
             else batch_size
         compute = (2.0 * self.config.num_params * effective_batch
-                   / gpu.effective_flops)
+                   / cm.gpu.effective_flops)
+        if use_graphs:
+            return compute, cm.graph_launch_overhead
+        return compute, self.config.nodes_for_batch(1) * cm.launch_gap
+
+    def decode_step_time(self, batch_size: int, avg_context: float,
+                         use_graphs: bool) -> float:
+        """One decode iteration over ``batch_size`` running sequences."""
+        compute, overhead = self._decode_fixed(batch_size, use_graphs)
         memory = ((self.config.param_bytes
                    + self._kv_read_bytes(batch_size, avg_context))
-                  / gpu.effective_mem_bandwidth)
-        gpu_time = max(compute, memory)
-        if use_graphs:
-            return gpu_time + cm.graph_launch_overhead
-        return gpu_time + self.config.nodes_for_batch(1) * cm.launch_gap
+                  / self.cost_model.gpu.effective_mem_bandwidth)
+        return max(compute, memory) + overhead
+
+    def decode_run_times(self, batch_size: int, context_sum: int,
+                         steps: int, use_graphs: bool) -> np.ndarray:
+        """``steps`` consecutive decode iterations of one fixed batch.
+
+        The batch's summed context starts at ``context_sum`` and grows by
+        ``batch_size`` per iteration (every sequence gains one token).
+        Element ``i`` equals ``decode_step_time(batch_size, (context_sum
+        + i * batch_size) / batch_size, use_graphs)`` bit for bit: the
+        same IEEE operations in the same order, elementwise, with the
+        context-free parts computed once.
+        """
+        compute, overhead = self._decode_fixed(batch_size, use_graphs)
+        sums = np.arange(steps, dtype=np.int64) * batch_size + context_sum
+        avg_context = sums / batch_size
+        memory = ((self.config.param_bytes
+                   + self._kv_read_bytes(batch_size, avg_context))
+                  / self.cost_model.gpu.effective_mem_bandwidth)
+        return np.maximum(compute, memory) + overhead
 
     def deferred_capture_penalty(self, batch_size: int) -> float:
         """One-off cost of lazily capturing a batch size while serving (§2.4):

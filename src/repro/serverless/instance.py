@@ -14,14 +14,23 @@ request-ready at ``Timeline.ready`` (not ``total``), pays a contention
 penalty on serving steps that overlap the background restore tail, and can
 be **cancelled at a stage boundary** by the cluster's scale-down policy
 instead of only before launch or after readiness.
+
+Most iterations are *pure decode*: they admit nothing, complete nothing,
+overlap no restore tail and capture no graph, so the running set is the
+same before and after.  :meth:`Instance.decode_run` plans every such
+iteration up to the one before the next completion as one
+:class:`DecodeRun`, which the pool dispatches as a single event and may
+cut short when a request is routed onto the instance mid-run.
 """
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 from collections import deque
+
+import numpy as np
 
 from repro.engine.strategies import Strategy
 from repro.errors import SchedulingError
@@ -177,16 +186,52 @@ class CompletedRequest:
         return self.completion_time - self.request.arrival_time
 
 
-class Instance:
-    """One GPU-backed serving instance inside the cluster simulator."""
+@dataclass
+class DecodeRun:
+    """Consecutive pure-decode iterations that one event carries.
 
-    _ids = itertools.count()
+    ``ends[i]`` is the instant iteration ``i`` finishes and ``busy[i]``
+    the instance's ``busy_time`` after it, both accumulated one iteration
+    at a time exactly as :meth:`Instance.run_step` would.  The run keeps
+    its first ``steps`` iterations; :meth:`cut` shortens it.
+    """
+
+    start: float
+    ends: List[float]
+    busy: List[float]
+    steps: int
+
+    @property
+    def end(self) -> float:
+        """When the run's last kept iteration finishes."""
+        return self.ends[self.steps - 1]
+
+    def cut(self, now: float) -> bool:
+        """Keep the iterations up to the first one ending at or after
+        ``now``; True when that shortened the run.
+
+        A request enqueued at ``now`` is admitted by the iteration that
+        starts there, so the run must hand back control at that boundary.
+        """
+        keep = bisect_left(self.ends, now, 0, self.steps) + 1
+        if keep >= self.steps:
+            return False
+        self.steps = keep
+        return True
+
+
+class Instance:
+    """One GPU-backed serving instance inside the cluster simulator.
+
+    ``instance_id`` names the instance's trace track; the pool numbers
+    its instances from 0 in every run.
+    """
 
     def __init__(self, costs: ServingCostModel, config: InstanceConfig,
                  launched_at: float, cold_start_latency: float,
                  profile: Optional[ColdStartProfile] = None,
-                 model_name: str = ""):
-        self.instance_id = next(Instance._ids)
+                 model_name: str = "", instance_id: int = 0):
+        self.instance_id = instance_id
         self.costs = costs
         self.config = config
         self.profile = profile       # the cold-start plan trace, if known
@@ -196,6 +241,9 @@ class Instance:
         self.waiting: Deque[Request] = deque()
         self.running: List[_RunningSequence] = []
         self.stepping = False
+        #: The step event carrying the decode run in flight (set by the
+        #: pool); the run is its ``payload[1]``.
+        self.run_event: Optional[object] = None
         self.retired = False
         self.hot_spare = False
         # -- placement (set by the pool at launch) ---------------------------
@@ -302,9 +350,9 @@ class Instance:
             duration += self.costs.decode_step_time(
                 len(self.running), sum(contexts) / len(contexts),
                 self.config.use_cuda_graphs)
-            for sequence in self.running:
-                if sequence not in admitted:
-                    sequence.generated += 1
+            # The admitted sequences are the tail of ``running``.
+            for sequence in self.running[:len(self.running) - len(admitted)]:
+                sequence.generated += 1
         contention = 0.0
         if duration > 0 and now < self.restore_tail_until - _EPS:
             # The background restore tail is still streaming: early serving
@@ -327,6 +375,54 @@ class Instance:
         return StepResult(duration=duration, ttfts=ttfts,
                           completed=completed,
                           background_contention=contention)
+
+    # -- pure-decode runs ---------------------------------------------------
+
+    def decode_run(self, now: float) -> Optional[DecodeRun]:
+        """The pure-decode iterations starting at ``now``, as one run.
+
+        An iteration is pure decode when it admits nothing (no request
+        waits, or the batch is full), pays no background-tail contention
+        and no deferred capture, and completes no sequence.  The run stops
+        one iteration *before* the first completion: :meth:`run_step`
+        removes completing sequences at the start of their iteration, and
+        that iteration must run through it so the instance's load drops
+        when it would.  Returns None when not even the next iteration is
+        pure, or when only the next one is (a one-iteration run would be
+        the same single event as :meth:`run_step`).  Nothing is applied
+        until :meth:`finish_run`.
+        """
+        running = self.running
+        config = self.config
+        if not running or (self.waiting
+                           and len(running) < config.max_running):
+            return None
+        if now < self.restore_tail_until - _EPS:
+            return None
+        if config.deferred_capture and config.use_cuda_graphs \
+                and self.costs.padded_batch(len(running)) \
+                not in self._captured_batches:
+            return None
+        steps = min(seq.request.output_tokens - seq.generated
+                    for seq in running) - 1
+        if steps < 2:
+            return None
+        durations = self.costs.decode_run_times(
+            len(running), sum(seq.context for seq in running), steps,
+            config.use_cuda_graphs)
+        # np.add.accumulate adds left to right, as run_step's += does.
+        ends = np.add.accumulate(np.concatenate(([now], durations)))
+        busy = np.add.accumulate(np.concatenate(([self.busy_time],
+                                                 durations)))
+        return DecodeRun(start=now, ends=ends[1:].tolist(),
+                         busy=busy[1:].tolist(), steps=steps)
+
+    def finish_run(self, run: DecodeRun) -> None:
+        """Apply the kept iterations of ``run`` to the running set."""
+        for sequence in self.running:
+            sequence.generated += run.steps
+        self.busy_time = run.busy[run.steps - 1]
+        self.last_busy_at = run.end
 
 
 @dataclass

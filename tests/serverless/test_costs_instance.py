@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError
+from repro.models.zoo import PAPER_MODELS, TINY_MODELS
 from repro.serverless.costs import ServingCostModel
 from repro.serverless.instance import Instance, InstanceConfig
 from repro.serverless.workload import Request
@@ -55,6 +56,31 @@ class TestServingCosts:
             candidates = [b for b in sizes if b >= batch_size]
             expected = min(candidates) if candidates else max(sizes)
             assert costs.padded_batch(batch_size) == expected
+
+
+class TestDecodeRunTimes:
+    """``decode_run_times`` is ``decode_step_time`` per step, to the bit."""
+
+    @pytest.mark.parametrize("model", [config.name for config
+                                       in PAPER_MODELS + TINY_MODELS])
+    def test_equals_decode_step_time_elementwise(self, model):
+        costs = ServingCostModel(model)
+        steps = 9
+        for use_graphs in (True, False):
+            for batch_size in range(1, InstanceConfig().max_running + 1):
+                for context_sum in (batch_size, 7 * batch_size + 3,
+                                    161 * batch_size + batch_size // 2,
+                                    4093 * batch_size + 1):
+                    times = costs.decode_run_times(batch_size, context_sum,
+                                                   steps, use_graphs)
+                    expected = [costs.decode_step_time(
+                        batch_size,
+                        (context_sum + step * batch_size) / batch_size,
+                        use_graphs) for step in range(steps)]
+                    assert times.tolist() == expected
+
+    def test_zero_steps_is_empty(self, costs):
+        assert costs.decode_run_times(3, 300, 0, True).tolist() == []
 
 
 def request(rid, arrival=0.0, prompt=100, output=3):
@@ -122,3 +148,71 @@ class TestInstance:
         instance.retired = True
         with pytest.raises(SchedulingError):
             instance.enqueue(request(0))
+
+
+class TestDecodeRun:
+    def make(self, costs, max_running=2):
+        return Instance(costs, InstanceConfig(max_running=max_running),
+                        launched_at=0.0, cold_start_latency=0.0)
+
+    def test_run_stops_before_the_first_completion(self, costs):
+        instance = self.make(costs)
+        instance.enqueue(request(0, output=6))
+        instance.enqueue(request(1, output=9))
+        end = instance.run_step(0.0).duration   # admits both: 1 token each
+        run = instance.decode_run(end)
+        # Request 0 completes on its 6th token: tokens 2..5 are pure.
+        assert run.steps == 4
+        assert run.start == end
+        assert run.ends == sorted(run.ends)
+
+    def test_run_matches_single_steps(self, costs):
+        """A finished run leaves the instance as its iterations would."""
+        runs = []
+        for coalesce in (False, True):
+            instance = self.make(costs)
+            instance.enqueue(request(0, output=7))
+            now = instance.run_step(0.0).duration
+            run = instance.decode_run(now)
+            if coalesce:
+                instance.finish_run(run)
+                now = run.end
+            else:
+                for _ in range(run.steps):
+                    now += instance.run_step(now).duration
+            runs.append((now, instance.busy_time, instance.last_busy_at,
+                         instance.running[0].generated))
+        assert runs[0] == runs[1]
+
+    def test_no_run_when_a_request_can_be_admitted(self, costs):
+        instance = self.make(costs, max_running=2)
+        instance.enqueue(request(0, output=9))
+        now = instance.run_step(0.0).duration
+        instance.enqueue(request(1, output=9))
+        assert instance.decode_run(now) is None
+
+    def test_full_batch_runs_with_requests_waiting(self, costs):
+        instance = self.make(costs, max_running=1)
+        instance.enqueue(request(0, output=9))
+        now = instance.run_step(0.0).duration
+        instance.enqueue(request(1, output=9))
+        assert instance.decode_run(now).steps == 7
+
+    def test_no_run_before_the_completing_step(self, costs):
+        instance = self.make(costs)
+        instance.enqueue(request(0, output=2))
+        now = instance.run_step(0.0).duration
+        assert instance.decode_run(now) is None
+
+    def test_cut_keeps_steps_up_to_the_first_end_at_or_after_now(self,
+                                                                 costs):
+        instance = self.make(costs)
+        instance.enqueue(request(0, output=12))
+        run = instance.decode_run(instance.run_step(0.0).duration)
+        assert run.steps == 10
+        assert run.cut(run.ends[3])           # an end itself: keep 0..3
+        assert run.steps == 4
+        assert run.cut(run.ends[1] - 1e-9)    # mid-step 1: keep 0..1
+        assert run.steps == 2
+        assert not run.cut(run.ends[1])       # already ends there
+        assert run.steps == 2

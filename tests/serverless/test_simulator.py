@@ -88,6 +88,33 @@ class TestThroughput:
         assert heavy.throughput >= light.throughput * 0.5
 
 
+class TestTraceDeterminism:
+    def test_rerun_in_one_process_records_the_same_trace(self, costs):
+        """Instances are numbered from 0 in every run, so a run's trace
+        does not depend on what the process simulated before."""
+        requests = ShareGPTWorkload(rps=4, duration=40, seed=3).generate()
+        simulator = ClusterSimulator(costs, SimulationConfig(num_gpus=2))
+        traces = []
+        for _ in range(2):
+            simulator.run(requests, horizon=40)
+            trace = simulator.loop.trace
+            traces.append((list(trace.spans), list(trace.tracks),
+                           list(trace.args), list(trace.marks)))
+        assert traces[0] == traces[1]
+        assert "instance-0" in traces[0][1]
+
+    def test_serve_step_spans_carry_their_step_count(self, costs):
+        metrics, simulator = simulate(costs, rps=2, duration=30)
+        trace = simulator.loop.trace
+        steps = [args["steps"] for span, args in zip(trace.spans,
+                                                      trace.args)
+                 if span.label == "serve_step"]
+        assert len(steps) == sum(1 for span in trace.spans
+                                 if span.label == "serve_step")
+        assert min(steps) == 1 and max(steps) > 1
+        assert len(metrics.latencies) == metrics.arrived
+
+
 class TestConfigValidation:
     def test_bad_configs_rejected(self):
         with pytest.raises(InvalidValueError):
