@@ -6,13 +6,16 @@ artifact save, eager vs lazy load, a plain vs a guarded (degradation
 policy armed, no fault) load+restore over a paper-scale artifact (~16k
 graph nodes, ~65k replay events for Qwen1.5-4B), a chunk-store get, and
 the artifact's allocation replay done one allocator call per event vs in
-one ``DeviceAllocator.replay`` loop.  It writes ``BENCH_restore.json``
-with the p50 wall-clock numbers plus the simulated critical-path seconds
-per strategy.  With ``--quick`` (the CI perf-smoke gate) it exits non-zero
+one ``DeviceAllocator.replay`` loop.  It also times the offline capturing
+stage (a traced vLLM cold start) and counts the ``Stream.launch_kernel``
+calls one offline run makes.  It writes ``BENCH_restore.json`` with the
+p50 wall-clock numbers plus the simulated critical-path seconds per
+strategy.  With ``--quick`` (the CI perf-smoke gate) it exits non-zero
 unless the guarded restore stays within ``QUICK_MAX_GUARDED_RATIO`` of the
-plain one and the batch replay beats the per-event one by
-``QUICK_MIN_REPLAY_SPEEDUP``; both are same-machine ratios, so the gate
-does not depend on the runner's speed.
+plain one, the batch replay beats the per-event one by
+``QUICK_MIN_REPLAY_SPEEDUP`` (both same-machine ratios, so the gate does
+not depend on the runner's speed), and the offline run stays within
+``QUICK_MAX_OFFLINE_LAUNCHES`` full-path launches (an exact count).
 
 Run it directly::
 
@@ -30,12 +33,14 @@ import time
 from typing import Callable, Dict, List
 
 from repro.core.binfmt import LazyArtifact, load_binary, save_binary
+from repro.core.interception import attach, detach
 from repro.core.offline import run_offline
 from repro.core.online import prepare_medusa_cold_start
 from repro.engine import LLMEngine, Strategy
 from repro.faults import DegradationPolicy
 from repro.simgpu.costmodel import CostModel
 from repro.simgpu.memory import DeviceAllocator, replay_per_event, replay_rows
+from repro.simgpu.stream import Stream
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -46,6 +51,11 @@ QUICK_MIN_REPLAY_SPEEDUP = 3.0
 #: one by more than this factor: an armed policy with no fault must run
 #: the same restore.
 QUICK_MAX_GUARDED_RATIO = 1.5
+#: ``--quick`` fails when one offline run of the model makes more
+#: ``Stream.launch_kernel`` calls than this: only the prologue, layer 0
+#: and the epilogue of each forwarding take the full launch path, layers
+#: 1..L-1 are stamped.  Exact for a deterministic run, so it cannot flake.
+QUICK_MAX_OFFLINE_LAUNCHES = {"Qwen1.5-0.5B": 2167}
 
 
 def _p50(fn: Callable[[], object], repeats: int) -> float:
@@ -71,6 +81,35 @@ def _restore_p50(model: str, npz_path: pathlib.Path, policy,
             model, LazyArtifact(npz_path), seed=9600, policy=policy)
         engine.cold_start(restorer=restorer)
     return _p50(run, repeats)
+
+
+def _capture_p50(model: str, repeats: int) -> float:
+    """p50 wall-clock of the offline capturing stage: a vLLM cold start
+    (KV profiling, then a warm-up and a capture per batch size) with the
+    offline tracer attached."""
+    def run():
+        engine = LLMEngine(model, Strategy.VLLM, seed=9600)
+        tracer = attach(engine.process)
+        engine.cold_start()
+        detach(engine.process, tracer)
+    return _p50(run, repeats)
+
+
+def _counting_launches(fn: Callable[[], object]):
+    """``fn()`` and the number of ``Stream.launch_kernel`` calls it made."""
+    original = Stream.launch_kernel
+    calls = 0
+
+    def counted(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(self, *args, **kwargs)
+    Stream.launch_kernel = counted
+    try:
+        result = fn()
+    finally:
+        Stream.launch_kernel = original
+    return result, calls
 
 
 def _replay_p50s(npz_path: pathlib.Path, repeats: int) -> Dict[str, float]:
@@ -151,8 +190,10 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
               workdir: pathlib.Path) -> Dict[str, object]:
     """Run every measurement and write the JSON report to ``output``."""
     print(f"materializing {model} (offline phase)...", flush=True)
-    artifact, _ = run_offline(model, seed=9600)
+    (artifact, _), offline_launches = _counting_launches(
+        lambda: run_offline(model, seed=9600))
     npz_path = workdir / f"{model}.medusa.npz"
+    capture_p50 = _capture_p50(model, repeats)
 
     print(f"timing save/load/restore ({repeats} repeats)...", flush=True)
     save_p50 = _p50(lambda: save_binary(artifact, npz_path), repeats)
@@ -177,7 +218,12 @@ def run_bench(model: str, repeats: int, output: pathlib.Path,
             "replay_events": len(artifact.replay_events),
             "npz_bytes": npz_path.stat().st_size,
         },
+        # Full-path launches of one offline run (layers 1..L-1 of every
+        # forwarding are stamped, not launched one by one).
+        "offline_launch_kernel_calls": offline_launches,
         "wallclock_p50_s": {
+            # The offline capturing stage: a traced vLLM cold start.
+            "capture": capture_p50,
             "save_binary": save_p50,
             "load_binary_eager": eager_load_p50,
             "lazy_open": lazy_open_p50,
@@ -224,7 +270,7 @@ def main(argv=None) -> int:
                              f"{QUICK_MAX_GUARDED_RATIO:g}x the plain "
                              "restore) and a "
                              f"{QUICK_MIN_REPLAY_SPEEDUP:g}x batch-replay "
-                             "gate")
+                             "gate and an offline launch-count gate")
     args = parser.parse_args(argv)
     model, repeats = args.model, args.repeats
     if args.quick:
@@ -257,6 +303,14 @@ def main(argv=None) -> int:
         print(f"FAIL: batch replay is only {replay_speedup:.2f}x the "
               f"per-event replay (required {QUICK_MIN_REPLAY_SPEEDUP:g}x)",
               file=sys.stderr)
+        return 1
+    launches = report["offline_launch_kernel_calls"]
+    print(f"offline capture p50: {wall['capture'] * 1e3:.1f} ms, "
+          f"{launches} launch_kernel calls")
+    bound = QUICK_MAX_OFFLINE_LAUNCHES.get(model)
+    if args.quick and bound is not None and launches > bound:
+        print(f"FAIL: one offline run of {model} made {launches} "
+              f"launch_kernel calls (allowed {bound})", file=sys.stderr)
         return 1
     return 0
 

@@ -22,54 +22,46 @@ from repro.simgpu.stream import LaunchRecord
 
 
 class TraceInterceptor(Interceptor):
-    """Builds the offline trace from the process's hook callbacks."""
+    """Builds the offline trace from the process's hook callbacks.
+
+    The callbacks run once per allocation, free and launch of a capture
+    (tens of thousands for a paper-scale model), so each appends its event
+    with positional arguments and an inlined sequence counter.
+    """
 
     def __init__(self):
         self.trace = Trace()
         self._seq = 0
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq += 1
-        return seq
-
     def on_alloc(self, buffer: Buffer) -> None:
+        seq = self._seq
+        self._seq = seq + 1
         self.trace.events.append(AllocTraceEvent(
-            seq=self._next_seq(),
-            alloc_index=buffer.alloc_index,
-            address=buffer.address,
-            size=buffer.size,
-            tag=buffer.tag,
-            pool=buffer.pool,
-        ))
+            seq, buffer.alloc_index, buffer.address, buffer.size, buffer.tag,
+            buffer.pool))
 
     def on_free(self, buffer: Buffer) -> None:
-        # ``live`` distinguishes nothing here (pool frees keep buffers live);
-        # the allocator's own event log carries the pooled flag, but the
-        # interceptor sees the free *after* it happened, so consult the last
-        # allocator event via the buffer's state: a pooled free leaves the
-        # payload intact, a cudaFree poisons it.  We instead record pooled
-        # based on buffer.live, which is False only after a cudaFree.
+        # The interceptor sees the free *after* it happened: a pool free
+        # leaves the buffer live (its block stays mapped), a cudaFree does
+        # not — so ``buffer.live`` is the pooled flag.
+        seq = self._seq
+        self._seq = seq + 1
         self.trace.events.append(FreeTraceEvent(
-            seq=self._next_seq(),
-            alloc_index=buffer.alloc_index,
-            address=buffer.address,
-            pooled=buffer.live,
-        ))
+            seq, buffer.alloc_index, buffer.address, buffer.live))
 
     def on_empty_cache(self) -> None:
-        self.trace.events.append(EmptyCacheTraceEvent(seq=self._next_seq()))
+        seq = self._seq
+        self._seq = seq + 1
+        self.trace.events.append(EmptyCacheTraceEvent(seq))
 
     def on_launch(self, record: LaunchRecord) -> None:
+        seq = self._seq
+        self._seq = seq + 1
+        params = record.params
         self.trace.events.append(LaunchTraceEvent(
-            seq=self._next_seq(),
-            kernel_name=record.kernel_name,
-            library=record.library,
-            param_sizes=tuple(p.size for p in record.params),
-            param_values=tuple(p.value for p in record.params),
-            launch_dims=tuple(sorted(record.launch_dims.items())),
-            captured=record.captured,
-        ))
+            seq, record.kernel_name, record.library,
+            tuple([p.size for p in params]), tuple([p.value for p in params]),
+            tuple(sorted(record.launch_dims.items())), record.captured))
 
 
 def attach(process: CudaProcess) -> TraceInterceptor:

@@ -5,6 +5,10 @@ and kernel-launch events, exactly what interposing on the allocator and on
 ``cudaLaunchKernel`` yields (§4.1).  Sequence numbers give the "backwards
 from its corresponding cudaLaunchKernel()" ordering the trace-based matching
 needs.
+
+The event records are slotted, not frozen: an offline capture builds tens
+of thousands of them, and a frozen dataclass costs several times as much
+to construct.  Nothing mutates an event after the interceptor appends it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AllocTraceEvent:
     seq: int
     alloc_index: int      # global allocation index in the process
@@ -23,7 +27,7 @@ class AllocTraceEvent:
     pool: str = "default"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FreeTraceEvent:
     seq: int
     alloc_index: int      # allocation being freed
@@ -31,12 +35,12 @@ class FreeTraceEvent:
     pooled: bool
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EmptyCacheTraceEvent:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class LaunchTraceEvent:
     seq: int
     kernel_name: str

@@ -92,12 +92,18 @@ class ModelConfig:
     checkpoint_seed: int = 0    # weights identity (fixed per model, not per run)
 
     def __post_init__(self) -> None:
-        # Validate that the published node total decomposes.
-        self.kernel_template()
+        # Validate that the published node total decomposes, and keep the
+        # solution: the fields are frozen, so it never changes.  (Stored
+        # outside the fields, so equality, hashing and repr ignore it.)
+        object.__setattr__(self, "_template", self._solve_template())
 
     # -- node-count decomposition ------------------------------------------
 
     def kernel_template(self) -> KernelTemplate:
+        """The (k, c, remainder) solution of the published node total."""
+        return self._template
+
+    def _solve_template(self) -> KernelTemplate:
         """Solve (k, c, remainder) from the published node total."""
         num_batches = len(self.capture_batch_sizes)
         base = self.total_graph_nodes // num_batches

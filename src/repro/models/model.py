@@ -7,26 +7,36 @@ allocated once in deterministic layer order (structure initialization),
 activations are transient pool allocations freed per layer (creating the
 address-reuse aliasing of Figure 6), and cuBLAS-style kernels acquire their
 permanent magic workspace on first launch (warm-up).
+
+The layers are structurally identical (the property §5's first-layer
+triggering relies on), so a layer's body is data: a :class:`LayerProgram`
+of temporary allocations and launches whose operands name their source
+(the carried buffer, a temporary, the layer's weight, its KV pointer).
+A forwarding runs the prologue, layer 0 and the epilogue through the full
+launch path, where every first-use check fires, and stamps layers
+1..L-1 from the same program with :meth:`CudaProcess.stamp`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import EngineError, InvalidValueError
-from repro.models.config import (
-    EPILOGUE_BASE_KERNELS,
-    WEIGHTED_LAYER_KERNELS,
-    ModelConfig,
-)
+from repro.models.config import WEIGHTED_LAYER_KERNELS, ModelConfig
 from repro.models.kernels_catalog import all_kernel_keys, kernel_spec
 from repro.models.weights import CheckpointStore, declared_sizes, weight_buffer_keys
 from repro.simgpu.kernels import KernelParam, KernelSpec, ParamKind, magic_values
 from repro.simgpu.memory import Buffer
 from repro.simgpu.process import CudaProcess
+from repro.simgpu.stream import (
+    BOUND,
+    LITERAL,
+    SLOT,
+    StampedLaunch,
+    StampProgram,
+)
 
 
 @dataclass
@@ -37,13 +47,110 @@ class ForwardContext:
     buffers (allocated once, before capture — so their contents never need
     materializing).  ``kv_buffer`` is the engine's KV cache region; layer ``i``
     addresses the interior pointer ``kv_buffer.address + i * kv_layer_stride``
-    (exercising §4.1's within-range pointer matching).
+    (exercising §4.1's within-range pointer matching); every layer's
+    pointer must land inside ``kv_buffer``.
     """
 
     input_buffer: Buffer
     output_buffer: Buffer
     kv_buffer: Buffer
     kv_layer_stride: int = 0
+
+
+#: Pointer sources of a layer launch besides its temporaries (an ``int``
+#: source ``j`` is the layer's j-th temporary): the buffer carried into
+#: the layer, the layer's own weight buffer of the launching kernel, and
+#: the layer's KV pointer ``kv_buffer.address + layer * kv_layer_stride``.
+X, WEIGHT, KV = "x", "weight", "kv"
+
+Source = Union[str, int]
+
+
+def layer_consts(hidden_size: int, layer: int) -> Dict[str, int]:
+    """The constant operands of layer ``layer``'s launches, by role."""
+    return {"n": hidden_size, "seed": layer + 1, "rot_steps": layer,
+            "layer_idx": layer}
+
+
+@dataclass(frozen=True)
+class LayerLaunch:
+    """One launch of a layer program: the kernel and its pointer sources."""
+
+    key: str                                  # template kernel key
+    pointers: Tuple[Tuple[str, Source], ...]  # (role, source)
+
+
+@dataclass(frozen=True)
+class LayerProgram:
+    """One transformer layer as data, in launch order.
+
+    A ``None`` step allocates the layer's next temporary; a
+    :class:`LayerLaunch` launches one kernel (its constants come from
+    :func:`layer_consts`).  Afterwards the layer pool-frees the carried-in
+    buffer, then every temporary except ``out``, which it carries to the
+    next layer — LIFO pool reuse across layers is what recreates Figure
+    6's aliasing.
+    """
+
+    steps: Tuple[Optional[LayerLaunch], ...]
+    out: int
+
+    @property
+    def launches(self) -> Tuple[LayerLaunch, ...]:
+        return tuple(step for step in self.steps if step is not None)
+
+    @property
+    def temps(self) -> int:
+        return sum(1 for step in self.steps if step is None)
+
+    @property
+    def weighted(self) -> Tuple[str, ...]:
+        """Keys of the launches reading the layer's weight, in order."""
+        return tuple(step.key for step in self.launches
+                     if any(source == WEIGHT for _, source in step.pointers))
+
+
+@functools.lru_cache(maxsize=None)
+def layer_program(layer_kernels: Tuple[str, ...]) -> LayerProgram:
+    """The program of a layer launching ``layer_kernels`` (a prefix of
+    :data:`repro.models.config.LAYER_KERNEL_TEMPLATE`)."""
+    has = set(layer_kernels)
+    steps: List[Optional[LayerLaunch]] = []
+
+    def emit(key: str, *inputs: Tuple[str, Source]) -> int:
+        """Allocate a temporary and launch ``key`` writing it."""
+        out = sum(1 for step in steps if step is None)
+        steps.append(None)
+        weight = ((("weight", WEIGHT),) if key in WEIGHTED_LAYER_KERNELS
+                  else ())
+        steps.append(LayerLaunch(key, inputs + weight + (("output", out),)))
+        return out
+
+    normed = emit("input_layernorm", ("input", X))
+    qkv = emit("qkv_proj", ("input", normed))
+    rotated = emit("rotary_embed", ("input", qkv))
+    attn = emit("paged_attention", ("input", rotated), ("kv", KV))
+    o_out = emit("o_proj", ("input", attn))
+    carry = emit("attn_residual", ("input", X), ("input_b", o_out))
+    normed2 = emit("post_layernorm", ("input", carry)) \
+        if "post_layernorm" in has else carry
+    mlp_in = emit("gate_up_proj", ("input", normed2)) \
+        if "gate_up_proj" in has else normed2
+    if "silu_and_mul" in has:
+        mlp_in = emit("silu_and_mul", ("input", mlp_in), ("input_b", normed2))
+    if "down_proj" in has:
+        mlp_in = emit("down_proj", ("input", mlp_in))
+    out = emit("mlp_residual", ("input", carry), ("input_b", mlp_in)) \
+        if "mlp_residual" in has else mlp_in
+    if "attn_output_scale" in has:
+        out = emit("attn_output_scale", ("input", out))
+    if "extra_layernorm" in has:
+        out = emit("extra_layernorm", ("input", out))
+    launched = tuple(step.key for step in steps if step is not None)
+    if launched != tuple(layer_kernels):
+        raise InvalidValueError(
+            f"layer kernels {layer_kernels} are not a template prefix")
+    return LayerProgram(steps=tuple(steps), out=out)
 
 
 class Model:
@@ -57,6 +164,8 @@ class Model:
             key: kernel_spec(config, key) for key in all_kernel_keys(config)
         }
         self._weights_loaded = False
+        self._stamp_programs: Dict[int, StampProgram] = {}
+        self._weight_addresses: Optional[List[Tuple[int, ...]]] = None
 
     # -- loading-phase stages (timing is accounted by the engine) ------------
 
@@ -99,19 +208,19 @@ class Model:
         layer; the caller supplies persistent I/O and KV buffers via ``ctx``.
         """
         process = self.process
-        stream = process.default_stream
-        capturing = stream.is_capturing
+        capturing = process.default_stream.is_capturing
         template = self.config.kernel_template()
+        program = layer_program(template.layer_kernels)
+        dims = {"batch_size": batch_size}
 
         launched = 0
 
         def launch(key: str, roles: Dict[str, int],
-                   consts: Optional[Dict[str, int]] = None,
-                   dims: Optional[Dict[str, int]] = None) -> None:
+                   consts: Optional[Dict[str, int]] = None) -> None:
             nonlocal launched
             spec = self._specs[key]
             process.launch(spec, self._params(spec, roles, consts or {}),
-                           launch_dims=dims or {"batch_size": batch_size})
+                           launch_dims=dims)
             launched += 1
 
         temp_bytes = max(256, batch_size * self.config.hidden_size * 2)
@@ -127,11 +236,15 @@ class Model:
             "output": hidden.address,
         })
 
-        # The structurally identical layer stack (§5.2).
-        for layer in range(self.config.num_layers):
-            hidden = self._forward_layer(layer, hidden, batch_size,
-                                         ctx, temp, launch,
-                                         template.layer_kernels)
+        # The structurally identical layer stack (§5.2): layer 0 through
+        # the full path, where library init, module loads, workspace setup
+        # and capture violations fire; layers 1..L-1 stamped from the same
+        # program.
+        stamp = self._stamp_program(program, temp_bytes)
+        bindings = self._layer_bindings(program, ctx, capturing)
+        hidden = self._forward_layer(stamp, bindings[0], hidden, dims)
+        hidden = process.stamp(stamp, bindings[1:], hidden, dims)
+        launched += self.config.num_layers * len(program.launches)
 
         # Epilogue: final norm -> lm head -> sampling -> aux.
         normed = temp()
@@ -181,104 +294,113 @@ class Model:
 
     # -- internals ---------------------------------------------------------------
 
-    def _forward_layer(self, layer: int, hidden: Buffer, batch_size: int,
-                       ctx: ForwardContext, temp, launch,
-                       layer_kernels) -> Buffer:
-        """One transformer layer; returns the carried hidden buffer."""
-        w = lambda kernel_key: self._weight(
-            f"layer{layer:03d}.{kernel_key}.weight").address
-        kv_pointer = ctx.kv_buffer.address + layer * ctx.kv_layer_stride
-        has = set(layer_kernels)
-        consts_n = {"n": self.config.hidden_size}
-        temps: List[Buffer] = []
-
-        def new_temp() -> Buffer:
-            buffer = temp()
-            temps.append(buffer)
-            return buffer
-
-        x = hidden
-        normed = new_temp()
-        launch("input_layernorm", {
-            "input": x.address, "weight": w("input_layernorm"),
-            "output": normed.address}, consts=consts_n)
-        qkv = new_temp()
-        launch("qkv_proj", {
-            "input": normed.address, "weight": w("qkv_proj"),
-            "output": qkv.address}, consts={"seed": layer + 1})
-        rotated = new_temp()
-        launch("rotary_embed", {
-            "input": qkv.address, "output": rotated.address},
-            consts={"rot_steps": layer})
-        attn = new_temp()
-        launch("paged_attention", {
-            "input": rotated.address, "kv": kv_pointer,
-            "output": attn.address}, consts={"layer_idx": layer})
-        o_out = new_temp()
-        launch("o_proj", {
-            "input": attn.address, "weight": w("o_proj"),
-            "output": o_out.address})
-        carry = new_temp()
-        launch("attn_residual", {
-            "input": x.address, "input_b": o_out.address,
-            "output": carry.address})
-
-        if "post_layernorm" in has:
-            normed2 = new_temp()
-            launch("post_layernorm", {
-                "input": carry.address, "weight": w("post_layernorm"),
-                "output": normed2.address}, consts=consts_n)
-        else:
-            normed2 = carry
-        if "gate_up_proj" in has:
-            gate = new_temp()
-            launch("gate_up_proj", {
-                "input": normed2.address, "weight": w("gate_up_proj"),
-                "output": gate.address})
-            mlp_in = gate
-        else:
-            mlp_in = normed2
-        if "silu_and_mul" in has:
-            activated = new_temp()
-            launch("silu_and_mul", {
-                "input": mlp_in.address, "input_b": normed2.address,
-                "output": activated.address})
-            mlp_in = activated
-        if "down_proj" in has:
-            down = new_temp()
-            launch("down_proj", {
-                "input": mlp_in.address, "weight": w("down_proj"),
-                "output": down.address})
-            mlp_in = down
-        if "mlp_residual" in has:
-            merged = new_temp()
-            launch("mlp_residual", {
-                "input": carry.address, "input_b": mlp_in.address,
-                "output": merged.address})
-            out = merged
-        else:
-            out = mlp_in
-        if "attn_output_scale" in has:
-            scaled = new_temp()
-            launch("attn_output_scale", {
-                "input": out.address, "output": scaled.address})
-            out = scaled
-        if "extra_layernorm" in has:
-            extra = new_temp()
-            launch("extra_layernorm", {
-                "input": out.address, "weight": w("extra_layernorm"),
-                "output": extra.address}, consts=consts_n)
-            out = extra
-
-        # Free this layer's transients (and the carried-in hidden), keeping
-        # only the buffer carried to the next layer.  LIFO pool reuse across
-        # layers is what recreates Figure 6's aliasing.
+    def _forward_layer(self, stamp: StampProgram,
+                       binding: Tuple[Tuple[int, ...], Tuple[int, ...]],
+                       x: Buffer, dims: Dict[str, int]) -> Buffer:
+        """Run one layer of ``stamp`` through the full launch path, one
+        ``malloc``/``launch``/``pool_free`` call per step; returns the
+        buffer carried to the next layer."""
         process = self.process
-        process.pool_free(x.address)
-        for buffer in temps:
-            if buffer is not out:
-                process.pool_free(buffer.address)
-        return out
+        values, _bases = binding
+        slots = [x]
+        for step in stamp.steps:
+            if step is None:
+                slots.append(process.malloc(stamp.temp_size,
+                                            tag=stamp.temp_tag))
+                continue
+            process.launch(step.spec, [
+                KernelParam(slot.size, slots[index].address
+                            if source == SLOT else values[index]
+                            if source == BOUND else index)
+                for slot, (source, index) in zip(step.spec.params,
+                                                 step.operands)],
+                launch_dims=dims)
+        for index in stamp.frees:
+            process.pool_free(slots[index].address)
+        return slots[stamp.result]
+
+    def _stamp_program(self, program: LayerProgram,
+                       temp_bytes: int) -> StampProgram:
+        """``program`` for :meth:`CudaProcess.stamp` (cached per size).
+
+        Slot 0 is the carried-in buffer and slot ``j + 1`` temporary ``j``;
+        a layer's binding (see :meth:`_layer_bindings`) holds its weight
+        pointers in launch order, then its KV pointer, then its constants.
+        """
+        cached = self._stamp_programs.get(temp_bytes)
+        if cached is not None:
+            return cached
+        weighted = program.weighted
+        kv_index = len(weighted)
+        const_index = {role: kv_index + 1 + position for position, role
+                       in enumerate(layer_consts(0, 0))}
+        launches = []
+        for step in program.steps:
+            if step is None:
+                launches.append(None)
+                continue
+            spec = self._specs[step.key]
+            pointers = dict(step.pointers)
+            literals = self._const_defaults(spec)
+            operands = []
+            for slot in spec.params:
+                if slot.kind is ParamKind.POINTER:
+                    source = pointers.get(slot.role)
+                    if source is None:          # patched in (magic) or null
+                        operands.append((LITERAL, 0))
+                    elif source == X:
+                        operands.append((SLOT, 0))
+                    elif source == WEIGHT:
+                        operands.append((BOUND, weighted.index(step.key)))
+                    elif source == KV:
+                        operands.append((BOUND, kv_index))
+                    else:
+                        operands.append((SLOT, source + 1))
+                elif slot.role in const_index:
+                    operands.append((BOUND, const_index[slot.role]))
+                elif slot.role in literals:
+                    operands.append((LITERAL, literals[slot.role]))
+                else:
+                    raise InvalidValueError(
+                        f"kernel {spec.name}: missing const {slot.role!r}")
+            launches.append(StampedLaunch(spec, tuple(operands)))
+        frees = (0,) + tuple(index + 1 for index in range(program.temps)
+                             if index != program.out)
+        stamp = self._stamp_programs[temp_bytes] = StampProgram(
+            temp_size=temp_bytes, temp_tag="act", steps=tuple(launches),
+            frees=frees, result=program.out + 1)
+        return stamp
+
+    def _layer_bindings(self, program: LayerProgram, ctx: ForwardContext,
+                        capturing: bool) -> List[Tuple[Tuple[int, ...],
+                                                       Tuple[int, ...]]]:
+        """Per layer, the ``(values, bases)`` of :meth:`_stamp_program`."""
+        layers = range(self.config.num_layers)
+        kv = ctx.kv_buffer
+        if capturing and not kv.contains(
+                kv.address + layers[-1] * ctx.kv_layer_stride):
+            raise InvalidValueError(
+                f"{self.config.name}: layer {layers[-1]}'s KV pointer lies "
+                f"outside the KV buffer at 0x{kv.address:x}")
+        weights = self._layer_weights(program)
+        hidden_size = self.config.hidden_size
+        bindings = []
+        for layer in layers:
+            consts = tuple(layer_consts(hidden_size, layer).values())
+            bindings.append((
+                weights[layer] + (kv.address + layer * ctx.kv_layer_stride,)
+                + consts,
+                weights[layer] + (kv.address,) + (0,) * len(consts)))
+        return bindings
+
+    def _layer_weights(self, program: LayerProgram) -> List[Tuple[int, ...]]:
+        """Per layer, the addresses of its weights in launch order."""
+        if self._weight_addresses is None:
+            self._weight_addresses = [
+                tuple(self._weight(f"layer{layer:03d}.{key}.weight").address
+                      for key in program.weighted)
+                for layer in range(self.config.num_layers)]
+        return self._weight_addresses
 
     def _weight(self, key: str) -> Buffer:
         buffer = self.weight_buffers.get(key)
@@ -287,17 +409,18 @@ class Model:
                               f"structure not initialized?")
         return buffer
 
-    def _params(self, spec: KernelSpec, roles: Dict[str, int],
-                consts: Dict[str, int]) -> List[KernelParam]:
+    def _const_defaults(self, spec: KernelSpec) -> Dict[str, int]:
+        """Constant operands a launch of ``spec`` gets unless given."""
         want_a, want_b = magic_values(spec.name)
-        defaults = {
+        return {
             "magic_a_expected": want_a,
             "magic_b_expected": want_b,
-            "seed": 1,
-            "n": self.config.hidden_size,
-            "rot_steps": 0,
-            "layer_idx": 0,
+            **layer_consts(self.config.hidden_size, 0),
         }
+
+    def _params(self, spec: KernelSpec, roles: Dict[str, int],
+                consts: Dict[str, int]) -> List[KernelParam]:
+        defaults = self._const_defaults(spec)
         params: List[KernelParam] = []
         for slot in spec.params:
             if slot.kind is ParamKind.POINTER:

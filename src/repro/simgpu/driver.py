@@ -74,6 +74,10 @@ class CudaDriver:
                 self._kernel_to_addr[spec.name] = address
         return library
 
+    def library_mapped(self, library_name: str) -> bool:
+        """Whether :meth:`dlopen` has mapped the library in this process."""
+        return library_name in self._lib_bases
+
     def _compute_address(self, library_name: str, spec: KernelSpec) -> int:
         base = self._lib_bases[library_name]
         offset = (hash_stable(f"{spec.module}/{spec.name}") & 0xFFFFFF) * 0x40

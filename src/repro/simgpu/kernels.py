@@ -24,6 +24,7 @@ two 4-byte permanent buffers holding magic numbers (§4.3).
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -104,11 +105,14 @@ class KernelSpec:
         raise InvalidValueError(f"kernel {self.name} has no param role {role!r}")
 
 
+@functools.lru_cache(maxsize=None)
 def magic_values(kernel_name: str) -> Tuple[int, int]:
     """The two per-kernel magic numbers a cuBLAS-style kernel requires.
 
     Derived deterministically from the kernel name so the offline and online
     phases agree on ground truth, while remaining distinct per kernel.
+    Memoized: kernel names come from immutable catalogs, and launches ask
+    for the same few names over and over.
     """
     h = abs(hash_stable(kernel_name))
     return (h & 0x7FFFFFFF) or 1, ((h >> 31) & 0x7FFFFFFF) or 2

@@ -33,7 +33,7 @@ class DynamicLibrary:
     requires_init: bool = True   # first use synchronizes the device
 
     def __post_init__(self) -> None:
-        seen: Dict[str, str] = {}
+        seen: Dict[str, CudaModule] = {}
         for module in self.modules:
             if module.library != self.name:
                 raise InvalidValueError(
@@ -43,7 +43,10 @@ class DynamicLibrary:
                 if spec.name in seen:
                     raise InvalidValueError(
                         f"duplicate kernel {spec.name} in library {self.name}")
-                seen[spec.name] = module.name
+                seen[spec.name] = module
+        # Kernel name -> owning module, the lookup every launch makes.
+        # Stored outside the fields, so equality and repr ignore it.
+        object.__setattr__(self, "_module_of", seen)
 
     def iter_kernels(self) -> Iterator[KernelSpec]:
         for module in self.modules:
@@ -66,11 +69,11 @@ class DynamicLibrary:
             f"library {self.name} has no kernel {kernel_name}")
 
     def module_of(self, kernel_name: str) -> CudaModule:
-        for module in self.modules:
-            if any(s.name == kernel_name for s in module.kernels):
-                return module
-        raise SymbolNotFoundError(
-            f"library {self.name} has no kernel {kernel_name}")
+        module = self._module_of.get(kernel_name)
+        if module is None:
+            raise SymbolNotFoundError(
+                f"library {self.name} has no kernel {kernel_name}")
+        return module
 
 
 class LibraryCatalog:

@@ -17,8 +17,10 @@ import numpy as np
 from repro.errors import InvalidValueError
 from repro.simgpu.clock import SimClock
 from repro.simgpu.costmodel import CostModel
+from repro.simgpu.graph import CudaGraphNode
 from repro.simgpu.kernels import (
     CONST32_SIZE,
+    WORD64_SIZE,
     KernelParam,
     KernelSpec,
     ParamKind,
@@ -27,7 +29,17 @@ from repro.simgpu.kernels import (
 from repro.simgpu.libraries import LibraryCatalog
 from repro.simgpu.driver import CudaDriver
 from repro.simgpu.memory import ALIGNMENT, Buffer, DeviceAllocator
-from repro.simgpu.stream import LaunchRecord, Stream
+from repro.simgpu.stream import (
+    BOUND,
+    LITERAL,
+    READ,
+    SLOT,
+    WRITE,
+    LaunchRecord,
+    StampProgram,
+    Stream,
+    pointer_access,
+)
 from repro.utils.rng import SeedSequence
 
 #: Device heap region (above the library text region, see driver.py).
@@ -93,6 +105,9 @@ class CudaProcess:
         self._interceptors: List[Interceptor] = []
         self._magic: Dict[str, Tuple[int, int]] = {}   # kernel -> (addr_a, addr_b)
         self._current_pool = "default"
+        # Stamped launches share one immutable KernelParam per (size, value).
+        self._stamped_params: Dict[int, Dict[int, KernelParam]] = {
+            CONST32_SIZE: {}, WORD64_SIZE: {}}
 
     # -- interception ---------------------------------------------------------
 
@@ -252,6 +267,124 @@ class CudaProcess:
                preset_magic: bool = False) -> None:
         self.default_stream.launch_kernel(spec, params, launch_dims,
                                           preset_magic=preset_magic)
+
+    def stamp(self, program: StampProgram,
+              bindings: Sequence[Tuple[Sequence[int], Sequence[int]]],
+              carried: Buffer, launch_dims: Dict[str, int]) -> Buffer:
+        """Run ``program`` on the default stream once per binding.
+
+        Each ``(values, bases)`` binding runs the program's steps with slot
+        0 holding ``carried``: an allocation step mallocs the next slot, a
+        launch step launches its kernel with every operand taken from a
+        slot, the binding's ``values`` or a literal; then the program's
+        frees pool-free their slots in order, and the result slot is
+        carried into the next binding and returned after the last.
+
+        The outcome is what one :meth:`malloc`, :meth:`launch` and
+        :meth:`pool_free` call per step would give: the same allocator
+        calls, the same interceptor callbacks in the same order with the
+        interception cost charged before each, the same graph nodes and
+        edges under capture (a pointer operand's buffer is its slot, or
+        ``bases[i]`` for a bound value ``i``, instead of an allocation
+        table lookup), and each launch executed in order in COMPUTE mode.
+        What a launch does not do is take a first-use step — mapping or
+        initializing a library, loading a module, setting up a magic
+        workspace: every kernel of the program must be warm already, or
+        :meth:`Stream.check_warm` raises before anything runs.
+        """
+        from repro.simgpu.executor import execute_params  # avoid cycle
+
+        stream = self.default_stream
+        driver = self.driver
+        steps = []
+        for step in program.steps:
+            if step is None:
+                steps.append(None)
+                continue
+            spec = step.spec
+            stream.check_warm(spec)
+            magic = self._magic.get(spec.name) if spec.needs_magic else None
+            operands = []
+            pointers = []
+            for slot, (source, index) in zip(spec.params, step.operands):
+                if slot.kind is ParamKind.POINTER:
+                    # The workspace buffers launch_kernel patches in.
+                    if magic is not None and slot.role == "magic_a":
+                        source, index = LITERAL, magic[0]
+                    elif magic is not None and slot.role == "magic_b":
+                        source, index = LITERAL, magic[1]
+                    pointers.append((source, index,
+                                     pointer_access(slot.role)))
+                operands.append((slot.size, self._stamped_params[slot.size],
+                                 source, index))
+            steps.append((spec, driver.kernel_address(spec.name),
+                          tuple(operands), tuple(pointers)))
+
+        allocator = self.allocator
+        malloc, pool_free = allocator.malloc, allocator.pool_free
+        temp_size, temp_tag, pool = program.temp_size, program.temp_tag, \
+            self._current_pool
+        interceptors = tuple(self._interceptors)
+        charge = any(i.adds_overhead for i in interceptors)
+        advance, per_event = self.clock.advance, \
+            self.cost_model.interception_per_event
+        capture = stream._capture
+        execute = execute_params if capture is None \
+            and self.mode is ExecutionMode.COMPUTE else None
+        for values, bases in bindings:
+            slots = [carried]
+            for step in steps:
+                if step is None:
+                    buffer = malloc(temp_size, temp_tag, None, pool)
+                    slots.append(buffer)
+                    if interceptors:
+                        if charge:
+                            advance(per_event)
+                        for interceptor in interceptors:
+                            interceptor.on_alloc(buffer)
+                    continue
+                spec, address, operands, pointers = step
+                params = []
+                for size, memo, source, index in operands:
+                    value = slots[index].address if source == SLOT \
+                        else values[index] if source == BOUND else index
+                    param = memo.get(value)
+                    if param is None:
+                        param = memo[value] = KernelParam(size, value)
+                    params.append(param)
+                if interceptors:
+                    record = LaunchRecord(spec.name, spec.library,
+                                          list(params), dict(launch_dims),
+                                          capture is not None)
+                    if charge:
+                        advance(per_event)
+                    for interceptor in interceptors:
+                        interceptor.on_launch(record)
+                if capture is not None:
+                    reads: List[int] = []
+                    writes: List[int] = []
+                    for source, index, access in pointers:
+                        base = slots[index].address if source == SLOT \
+                            else bases[index] if source == BOUND else index
+                        if access != WRITE:
+                            reads.append(base)
+                        if access != READ:
+                            writes.append(base)
+                    capture.add(CudaGraphNode(address, params,
+                                              dict(launch_dims)),
+                                reads, writes, stream)
+                elif execute is not None:
+                    execute(self, spec, params)
+            for index in program.frees:
+                buffer = slots[index]
+                pool_free(buffer.address)
+                if interceptors:
+                    if charge:
+                        advance(per_event)
+                    for interceptor in interceptors:
+                        interceptor.on_free(buffer)
+            carried = slots[program.result]
+        return carried
 
     def synchronize(self) -> None:
         self.default_stream.synchronize()

@@ -15,7 +15,7 @@ Stream capture reproduces the real driver's behaviour and restrictions
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CaptureViolationError, InvalidValueError
 from repro.simgpu.graph import CudaGraph, CudaGraphNode, GraphExecMeta
@@ -31,6 +31,55 @@ class LaunchRecord:
     params: List[KernelParam]
     launch_dims: Dict[str, int]
     captured: bool      # True if this launch was recorded into a graph
+
+
+#: Operand sources of a :class:`StampedLaunch` (see
+#: :meth:`repro.simgpu.process.CudaProcess.stamp`): slot ``i``'s base
+#: address, the ``i``-th value of the stamp's binding (a pointer's buffer
+#: is based at the ``i``-th entry of the binding's bases), and the literal
+#: ``i``.  A magic-workspace kernel's ``magic_a``/``magic_b`` pointers are
+#: patched in, as :meth:`Stream.launch_kernel` does.
+SLOT, BOUND, LITERAL = range(3)
+
+#: How a launch touches a pointer operand's buffer, for capture edges.
+READ, WRITE, READ_WRITE = range(3)
+
+
+def pointer_access(role: str) -> int:
+    """The access a pointer parameter of ``role`` makes (see
+    :meth:`_CaptureBuilder.record`)."""
+    if role == "output":
+        return WRITE
+    if role == "kv":
+        return READ_WRITE
+    return READ
+
+
+@dataclass(frozen=True)
+class StampedLaunch:
+    """One launch of a :class:`StampProgram`: the kernel and, per
+    parameter slot of its spec, the ``(source, index)`` of the value."""
+
+    spec: KernelSpec
+    operands: Tuple[Tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class StampProgram:
+    """A straight-line block of allocations and launches, run once per
+    binding by :meth:`repro.simgpu.process.CudaProcess.stamp`.
+
+    Slot 0 is the buffer carried in; every ``None`` step allocates the
+    next slot (``temp_size`` bytes tagged ``temp_tag``), every other step
+    launches.  After the steps, ``frees`` are pool-freed in order and slot
+    ``result`` is carried into the next binding.
+    """
+
+    temp_size: int
+    temp_tag: str
+    steps: Tuple[Optional[StampedLaunch], ...]
+    frees: Tuple[int, ...]
+    result: int
 
 
 class CudaEvent:
@@ -76,34 +125,46 @@ class _CaptureBuilder:
                params: Sequence[KernelParam],
                launch_dims: Dict[str, int],
                stream: Optional["Stream"] = None) -> None:
-        stream = stream or self.origin
-        node = CudaGraphNode(kernel_address=address,
-                             params=list(params),
-                             launch_dims=dict(launch_dims))
-        index = self.graph.add_node(node)
-        previous = self._last_stream_node.get(stream.name)
-        if previous is not None:
-            self.graph.add_edge(previous, index)
-        for dependency in self._pending_deps.pop(stream.name, ()):
-            if dependency != index:
-                self.graph.add_edge(dependency, index)
+        """Add one launch as a node; its pointer parameters are resolved
+        to the buffers they touch through the live allocation table."""
         reads: List[int] = []
         writes: List[int] = []
         for slot, param in zip(spec.params, params):
             if slot.kind is not ParamKind.POINTER:
                 continue
-            buffer = process.allocator.resolve(param.value)
-            if slot.role == "output":
-                writes.append(buffer.address)
-            elif slot.role == "kv":
-                reads.append(buffer.address)
-                writes.append(buffer.address)
-            else:
-                reads.append(buffer.address)
+            base = process.allocator.resolve(param.value).address
+            access = pointer_access(slot.role)
+            if access != WRITE:
+                reads.append(base)
+            if access != READ:
+                writes.append(base)
+        self.add(CudaGraphNode(kernel_address=address, params=list(params),
+                               launch_dims=dict(launch_dims)),
+                 reads, writes, stream)
+
+    def add(self, node: CudaGraphNode, reads: Sequence[int],
+            writes: Sequence[int],
+            stream: Optional["Stream"] = None) -> None:
+        """Add ``node``, which reads and writes the buffers based at
+        ``reads``/``writes``: an edge from the stream's previous node, from
+        pending event dependencies and from each read buffer's last
+        writer."""
+        stream = stream or self.origin
+        index = self.graph.add_node(node)
+        # Every source below is an earlier node, so the edges go straight
+        # into the set (CudaGraph.add_edge would only re-check that).
+        edges = self.graph.edges
+        previous = self._last_stream_node.get(stream.name)
+        if previous is not None:
+            edges.add((previous, index))
+        for dependency in self._pending_deps.pop(stream.name, ()):
+            if dependency != index:
+                edges.add((dependency, index))
+        last_writer = self._last_writer
         for base in reads:
-            writer = self._last_writer.get(base)
+            writer = last_writer.get(base)
             if writer is not None and writer != index:
-                self.graph.add_edge(writer, index)
+                edges.add((writer, index))
         for base in writes:
             self._last_writer[base] = index
         self._last_stream_node[stream.name] = index
@@ -194,6 +255,28 @@ class Stream:
         self.process.clock.advance(5e-6)
 
     # -- launching ------------------------------------------------------------
+
+    def check_warm(self, spec: KernelSpec) -> None:
+        """Refuse a kernel whose launch would still take a first-use step.
+
+        A launch through :meth:`launch_kernel` maps the library, initializes
+        it, loads the kernel's module and sets up its magic workspace when
+        any of these has not happened yet.  A stamped launch (see
+        :meth:`repro.simgpu.process.CudaProcess.stamp`) does none of that:
+        every kernel it runs must already be warm.
+        """
+        driver = self.process.driver
+        library = driver.catalog.library(spec.library)
+        if not driver.library_mapped(spec.library) \
+                or (library.requires_init
+                    and not driver.library_initialized(spec.library)) \
+                or not driver.module_loaded(
+                    spec.library, library.module_of(spec.name).name) \
+                or (spec.needs_magic and not self.process.has_magic(spec.name)):
+            raise InvalidValueError(
+                f"stamped launch of {spec.name}, which is not warm: its "
+                f"library, module or workspace is set up on first launch, "
+                f"which only launch_kernel does")
 
     def launch_kernel(self, spec: KernelSpec,
                       params: Sequence[KernelParam],
